@@ -1,5 +1,7 @@
 #include "cli/scenario_parser.h"
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -42,6 +44,22 @@ double parse_number(std::size_t line_no, const std::string& text,
   } catch (const std::exception&) {
     fail(line_no, "bad " + what + ": " + text);
   }
+}
+
+// A whole number in [lo, hi], or a diagnostic.  The range is checked on
+// the double, before the cast: casting a non-finite or out-of-range double
+// to an integer type is undefined behaviour.
+template <typename Int>
+Int parse_whole(std::size_t line_no, const std::string& text,
+                const std::string& what, Int lo, Int hi,
+                const std::string& complaint) {
+  const double value = parse_number(line_no, text, what);
+  // double(hi) may round up to 2^bits; whole values below it still fit.
+  const bool in_range = std::isfinite(value) &&
+                        value >= static_cast<double>(lo) &&
+                        value < static_cast<double>(hi) + 1.0;
+  if (!in_range || value != std::floor(value)) fail(line_no, complaint);
+  return static_cast<Int>(value);
 }
 
 // "key=value" -> {key, value}; whole-token key when no '='.
@@ -96,8 +114,10 @@ ScenarioFile parse_scenario(std::istream& in) {
       if (to == nodes.end()) fail(line_no, "unknown node " + tokens[2]);
       Tick propagation = 0;
       if (tokens.size() > 3) {
-        propagation = static_cast<Tick>(
-            parse_number(line_no, tokens[3], "propagation"));
+        propagation = parse_whole<Tick>(
+            line_no, tokens[3], "propagation", 0,
+            std::numeric_limits<Tick>::max(),
+            "propagation must be a non-negative integer");
       }
       try {
         scenario.topology.add_link(from->second, to->second, propagation);
@@ -107,18 +127,19 @@ ScenarioFile parse_scenario(std::istream& in) {
     } else if (keyword == "priorities") {
       need_args(1);
       config_allowed();
-      const double n = parse_number(line_no, tokens[1], "priority count");
-      if (n < 1 || n != static_cast<std::size_t>(n)) {
-        fail(line_no, "priorities must be a positive integer");
-      }
-      scenario.params.priorities = static_cast<std::size_t>(n);
+      // Priorities are numbered 0 .. n-1 in a Priority.
+      scenario.params.priorities = parse_whole<std::size_t>(
+          line_no, tokens[1], "priority count", 1,
+          std::numeric_limits<Priority>::max(),
+          "priorities must be a positive integer");
     } else if (keyword == "queue") {
       need_args(1);
       config_allowed();
       scenario.params.advertised_bound =
           parse_number(line_no, tokens[1], "queue depth");
-      if (!(scenario.params.advertised_bound > 0)) {
-        fail(line_no, "queue depth must be positive");
+      if (!(scenario.params.advertised_bound > 0) ||
+          !std::isfinite(scenario.params.advertised_bound)) {
+        fail(line_no, "queue depth must be positive and finite");
       }
     } else if (keyword == "cdv") {
       need_args(1);
@@ -179,24 +200,22 @@ ScenarioFile parse_scenario(std::istream& in) {
         } else if (key == "vbr") {
           const auto parts = split(value, ',');
           if (parts.size() != 3) fail(line_no, "vbr needs pcr,scr,mbs");
-          const double mbs = parse_number(line_no, parts[2], "mbs");
-          if (mbs < 1 || mbs != static_cast<std::uint32_t>(mbs)) {
-            fail(line_no, "mbs must be a positive integer");
-          }
+          const auto mbs = parse_whole<std::uint32_t>(
+              line_no, parts[2], "mbs", 1,
+              std::numeric_limits<std::uint32_t>::max(),
+              "mbs must be a positive integer");
           conn.request.traffic = TrafficDescriptor::vbr(
               parse_number(line_no, parts[0], "pcr"),
-              parse_number(line_no, parts[1], "scr"),
-              static_cast<std::uint32_t>(mbs));
+              parse_number(line_no, parts[1], "scr"), mbs);
           have_traffic = true;
         } else if (key == "deadline") {
           conn.request.deadline =
               parse_number(line_no, value, "deadline");
         } else if (key == "prio") {
-          const double p = parse_number(line_no, value, "priority");
-          if (p < 0 || p != static_cast<Priority>(p)) {
-            fail(line_no, "prio must be a non-negative integer");
-          }
-          conn.request.priority = static_cast<Priority>(p);
+          conn.request.priority = parse_whole<Priority>(
+              line_no, value, "priority", 0,
+              std::numeric_limits<Priority>::max(),
+              "prio must be a non-negative integer");
         } else {
           fail(line_no, "unknown connect option " + key);
         }

@@ -143,6 +143,14 @@ class BasicBitStream {
     return s;
   }
 
+  /// from_canonical over a span — typically a span kernel's result in
+  /// per-thread scratch (core/stream_scratch.h) — copied out at exact
+  /// size.
+  static BasicBitStream from_canonical(std::span<const Segment> segments) {
+    return from_canonical(
+        std::vector<Segment>(segments.begin(), segments.end()));
+  }
+
   /// The in-place validation/normalization pass the constructor applies:
   /// snaps rounding noise, enforces the step-wise non-increasing
   /// invariant and coalesces (nearly) equal adjacent rates.  Exposed so
@@ -215,13 +223,20 @@ class BasicBitStream {
   /// this; RTCAC_INVARIANT_AUDIT call sites (stream_ops.h, switch_cac.cpp)
   /// re-check it in audit builds to catch corruption after construction.
   [[nodiscard]] bool invariants_hold() const noexcept {
-    if (segments_.empty()) return false;
-    if (!(segments_.front().start == Num(0))) return false;
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (segments_[k].rate < Num(0)) return false;
+    return segments_valid(segments_);
+  }
+
+  /// The same check over a raw segment list, for the span kernels'
+  /// audits (core/stream_ops.h).
+  [[nodiscard]] static bool segments_valid(
+      std::span<const Segment> segments) noexcept {
+    if (segments.empty()) return false;
+    if (!(segments.front().start == Num(0))) return false;
+    for (std::size_t k = 0; k < segments.size(); ++k) {
+      if (segments[k].rate < Num(0)) return false;
       if (k > 0) {
-        if (!(segments_[k - 1].start < segments_[k].start)) return false;
-        if (segments_[k].rate > segments_[k - 1].rate) return false;
+        if (!(segments[k - 1].start < segments[k].start)) return false;
+        if (segments[k].rate > segments[k - 1].rate) return false;
       }
     }
     return true;
@@ -394,6 +409,18 @@ class BasicBitStream {
   // (the public API cannot, by design).
   friend struct BitStreamTestAccess;
 };
+
+namespace detail {
+
+/// BasicBitStream::is_zero over a raw segment list (the span kernels of
+/// core/stream_ops.h and core/delay_bound.h).
+template <typename Num>
+[[nodiscard]] bool is_zero_segments(
+    std::span<const BasicSegment<Num>> segments) noexcept {
+  return segments.size() == 1 && segments.front().rate == Num(0);
+}
+
+}  // namespace detail
 
 /// Production instantiation: floating point, tolerant comparisons.
 using Segment = BasicSegment<double>;

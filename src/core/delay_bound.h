@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "core/bitstream.h"
+#include "core/stream_scratch.h"
 #include "util/contract.h"
 
 namespace rtcac {
@@ -56,48 +57,47 @@ namespace rtcac {
 namespace detail {
 
 /// Piecewise-linear, non-decreasing, convex service curve
-/// G(u) = ∫₀ᵘ (1 - r1) for a filtered higher-priority stream r1 (<= 1).
+/// G(u) = ∫₀ᵘ (1 - r1) for a filtered higher-priority stream r1 (<= 1),
+/// one ServicePoint per breakpoint of r1.  The curve views storage its
+/// caller owns: per-thread scratch on the admission path (delay_bound),
+/// a local vector elsewhere.
 template <typename Num>
 class ServiceCurve {
  public:
-  explicit ServiceCurve(const BasicBitStream<Num>& higher_priority_filtered) {
-    starts_.reserve(higher_priority_filtered.size());
-    capacities_.reserve(higher_priority_filtered.size());
-    for (const auto& seg : higher_priority_filtered.segments()) {
+  /// Builds G for `higher_priority_filtered` into `storage`, replacing its
+  /// contents; the curve reads `storage` until the caller next changes it.
+  ServiceCurve(std::span<const BasicSegment<Num>> higher_priority_filtered,
+               std::vector<ServicePoint<Num>>& storage) {
+    storage.clear();
+    for (const auto& seg : higher_priority_filtered) {
       Num capacity = NumTraits<Num>::snap_nonnegative(Num(1) - seg.rate);
       RTCAC_REQUIRE(!(capacity < Num(0)),
                     "ServiceCurve: higher-priority stream must be filtered "
                     "(rate <= 1)");
-      starts_.push_back(seg.start);
-      capacities_.push_back(capacity);
+      storage.push_back(ServicePoint<Num>{seg.start, capacity, Num(0)});
     }
-    values_.resize(starts_.size());
-    values_[0] = Num(0);
-    for (std::size_t k = 1; k < starts_.size(); ++k) {
-      values_[k] =
-          values_[k - 1] + capacities_[k - 1] * (starts_[k] - starts_[k - 1]);
+    for (std::size_t k = 1; k < storage.size(); ++k) {
+      storage[k].value =
+          storage[k - 1].value +
+          storage[k - 1].capacity * (storage[k].start - storage[k - 1].start);
     }
+    points_ = storage;
   }
 
   /// Service available in [0, u].
   [[nodiscard]] Num operator()(const Num& u) const {
     if (u <= Num(0)) return Num(0);
     std::size_t k = 0;
-    while (k + 1 < starts_.size() && starts_[k + 1] <= u) ++k;
-    return values_[k] + capacities_[k] * (u - starts_[k]);
+    while (k + 1 < points_.size() && points_[k + 1].start <= u) ++k;
+    return points_[k].value + points_[k].capacity * (u - points_[k].start);
   }
 
   /// Tail service rate (capacity after the last breakpoint).
-  [[nodiscard]] Num tail_capacity() const { return capacities_.back(); }
+  [[nodiscard]] Num tail_capacity() const { return points_.back().capacity; }
 
-  [[nodiscard]] std::span<const Num> breakpoints() const { return starts_; }
-
-  /// G evaluated at each breakpoint (values()[k] == G(breakpoints()[k])).
-  [[nodiscard]] std::span<const Num> values() const { return values_; }
-
-  /// Service rate in force on segment k.
-  [[nodiscard]] const Num& capacity(std::size_t k) const {
-    return capacities_[k];
+  /// The breakpoints, in time order; points()[k].value == G(start).
+  [[nodiscard]] std::span<const ServicePoint<Num>> points() const {
+    return points_;
   }
 
   /// Worst-case departure time for cumulative demand `a`:
@@ -108,23 +108,23 @@ class ServiceCurve {
     // Find the first segment k whose *end value* exceeds a; departure lies
     // inside it.  Flat (zero-capacity) segments are skipped, which is
     // exactly the upper-inverse semantics.
-    for (std::size_t k = 0; k + 1 < starts_.size(); ++k) {
-      if (values_[k + 1] > a) {
-        // capacities_[k] > 0, otherwise values_ would not have grown.
-        return starts_[k] + (a - values_[k]) / capacities_[k];
+    for (std::size_t k = 0; k + 1 < points_.size(); ++k) {
+      if (points_[k + 1].value > a) {
+        // capacity > 0, otherwise the value would not have grown.
+        return points_[k].start + (a - points_[k].value) / points_[k].capacity;
       }
     }
-    const std::size_t last = starts_.size() - 1;
-    if (capacities_[last] > Num(0)) {
-      const Num excess = a - values_[last];
-      return starts_[last] + (excess > Num(0) ? excess / capacities_[last]
-                                              : Num(0));
+    const ServicePoint<Num>& last = points_.back();
+    if (last.capacity > Num(0)) {
+      const Num excess = a - last.value;
+      return last.start +
+             (excess > Num(0) ? excess / last.capacity : Num(0));
     }
-    // Service saturates at values_[last].  Served only if demand does not
+    // Service saturates at last.value.  Served only if demand does not
     // exceed it; the final bit departs when G first reached a.
     const bool served = NumTraits<Num>::kExact
-                            ? (values_[last] >= a)
-                            : NumTraits<Num>::nearly_leq(a, values_[last]);
+                            ? (last.value >= a)
+                            : NumTraits<Num>::nearly_leq(a, last.value);
     if (!served) return std::nullopt;
     return lower_inverse(a);
   }
@@ -133,34 +133,32 @@ class ServiceCurve {
   /// Earliest u with G(u) >= a; requires G to reach a.
   [[nodiscard]] Num lower_inverse(const Num& a) const {
     if (a <= Num(0)) return Num(0);
-    for (std::size_t k = 0; k < starts_.size(); ++k) {
-      const bool last = (k + 1 == starts_.size());
-      const Num end_value = last ? values_[k] : values_[k + 1];
-      if (!last && end_value >= a && capacities_[k] > Num(0)) {
-        return starts_[k] + (a - values_[k]) / capacities_[k];
+    for (std::size_t k = 0; k < points_.size(); ++k) {
+      const ServicePoint<Num>& p = points_[k];
+      const bool last = (k + 1 == points_.size());
+      const Num end_value = last ? p.value : points_[k + 1].value;
+      if (!last && end_value >= a && p.capacity > Num(0)) {
+        return p.start + (a - p.value) / p.capacity;
       }
       if (last) {
-        if (capacities_[k] > Num(0)) {
-          const Num excess = a - values_[k];
-          return starts_[k] +
-                 (excess > Num(0) ? excess / capacities_[k] : Num(0));
+        if (p.capacity > Num(0)) {
+          const Num excess = a - p.value;
+          return p.start + (excess > Num(0) ? excess / p.capacity : Num(0));
         }
-        return starts_[k];
+        return p.start;
       }
     }
-    return starts_.back();  // unreachable
+    return points_.back().start;  // unreachable
   }
 
-  std::vector<Num> starts_;
-  std::vector<Num> capacities_;
-  std::vector<Num> values_;  // G at each breakpoint
+  std::span<const ServicePoint<Num>> points_;
 };
 
-}  // namespace detail
-
-/// Worst-case queueing delay bound for priority-p arrivals S given the
-/// filtered higher-priority arrivals S1 (Algorithm 4.1).  For the highest
-/// priority pass the zero stream as S1.  Returns nullopt when unbounded.
+/// Worst-case queueing delay bound for priority-p arrivals `segs` given the
+/// filtered higher-priority arrivals `s1_filtered` (Algorithm 4.1), over
+/// segment spans.  The one definition behind `delay_bound`; it allocates
+/// nothing once the calling thread's scratch is warm.  Returns nullopt
+/// when unbounded.
 ///
 /// Evaluated as a single merge sweep: the candidate maximizers (breakpoints
 /// of S plus the preimages under A of the service-curve breakpoints) are
@@ -172,31 +170,32 @@ class ServiceCurve {
 /// arithmetic in the same order as the reference, so the two agree exactly
 /// — not merely within tolerance — for both scalar instantiations.
 template <typename Num>
-std::optional<Num> delay_bound(const BasicBitStream<Num>& s,
-                               const BasicBitStream<Num>& s1_filtered) {
-  if (s.is_zero()) return Num(0);  // no arrivals, no delay
-  const detail::ServiceCurve<Num> g(s1_filtered);
+std::optional<Num> delay_bound_segments(
+    std::span<const BasicSegment<Num>> segs,
+    std::span<const BasicSegment<Num>> s1_filtered) {
+  if (is_zero_segments(segs)) return Num(0);  // no arrivals, no delay
+  StreamScratch<Num>& scratch = StreamScratch<Num>::local();
+  const ServiceCurve<Num> g(s1_filtered, scratch.service_curve);
 
   // Unbounded iff arrivals outpace service forever.
   const bool tail_stable =
       NumTraits<Num>::kExact
-          ? (s.final_rate() <= g.tail_capacity())
-          : NumTraits<Num>::nearly_leq(s.final_rate(), g.tail_capacity());
+          ? (segs.back().rate <= g.tail_capacity())
+          : NumTraits<Num>::nearly_leq(segs.back().rate, g.tail_capacity());
   if (!tail_stable) return std::nullopt;
 
-  const auto segs = s.segments();
-  const auto gb = g.breakpoints();
-  const auto gv = g.values();
+  const auto gp = g.points();
 
   // Preimage times t with A(t) = G(u_k) for each service breakpoint u_k.
   // The G(u_k) are non-decreasing, so one forward cursor over S computes
   // them all (time_of_bits semantics, incrementalized).
-  std::vector<Num> pre;
-  pre.reserve(gb.size());
+  std::vector<Num>& pre = scratch.preimages;
+  pre.clear();
   {
     std::size_t k = 0;
     Num area{0};
-    for (const Num& bits : gv) {
+    for (const ServicePoint<Num>& point : gp) {
+      const Num& bits = point.value;
       if (bits <= Num(0)) {
         pre.push_back(Num(0));
         continue;
@@ -231,7 +230,7 @@ std::optional<Num> delay_bound(const BasicBitStream<Num>& s,
   std::size_t ak = 0;
   Num aarea{0};
   std::size_t dk = 0;
-  const std::size_t glast = gb.size() - 1;
+  const std::size_t glast = gp.size() - 1;
   Num best{0};
   std::size_t si = 0;
   std::size_t pi = 0;
@@ -252,14 +251,14 @@ std::optional<Num> delay_bound(const BasicBitStream<Num>& s,
         t <= Num(0) ? Num(0) : aarea + segs[ak].rate * (t - segs[ak].start);
     // Departure time inf{u : G(u) > a}, incrementally (upper inverse;
     // flat segments are skipped by the cursor advance).
-    while (dk + 1 < gb.size() && !(gv[dk + 1] > a)) ++dk;
+    while (dk + 1 < gp.size() && !(gp[dk + 1].value > a)) ++dk;
     Num depart{};
     if (dk < glast) {
-      depart = gb[dk] + (a - gv[dk]) / g.capacity(dk);
-    } else if (g.capacity(glast) > Num(0)) {
-      const Num excess = a - gv[glast];
-      depart = gb[glast] +
-               (excess > Num(0) ? excess / g.capacity(glast) : Num(0));
+      depart = gp[dk].start + (a - gp[dk].value) / gp[dk].capacity;
+    } else if (gp[glast].capacity > Num(0)) {
+      const Num excess = a - gp[glast].value;
+      depart = gp[glast].start +
+               (excess > Num(0) ? excess / gp[glast].capacity : Num(0));
     } else {
       // Saturated tail: rare, delegate to the reference scan (which ends
       // in the lower inverse when the demand is exactly served).
@@ -272,6 +271,18 @@ std::optional<Num> delay_bound(const BasicBitStream<Num>& s,
   return best;
 }
 
+}  // namespace detail
+
+/// Worst-case queueing delay bound for priority-p arrivals S given the
+/// filtered higher-priority arrivals S1 (Algorithm 4.1).  For the highest
+/// priority pass the zero stream as S1.  Returns nullopt when unbounded.
+/// A thin wrapper over detail::delay_bound_segments.
+template <typename Num>
+std::optional<Num> delay_bound(const BasicBitStream<Num>& s,
+                               const BasicBitStream<Num>& s1_filtered) {
+  return detail::delay_bound_segments(s.segments(), s1_filtered.segments());
+}
+
 /// Pre-optimization evaluation of the same bound: materialize every
 /// candidate, then re-evaluate A (bits_before) and the departure map from
 /// the origin for each one.  O((|S| + |G|)²).  Kept verbatim as the
@@ -281,7 +292,8 @@ template <typename Num>
 std::optional<Num> delay_bound_reference(
     const BasicBitStream<Num>& s, const BasicBitStream<Num>& s1_filtered) {
   if (s.is_zero()) return Num(0);  // no arrivals, no delay
-  const detail::ServiceCurve<Num> g(s1_filtered);
+  std::vector<detail::ServicePoint<Num>> curve;
+  const detail::ServiceCurve<Num> g(s1_filtered.segments(), curve);
 
   // Unbounded iff arrivals outpace service forever.
   const bool tail_stable =
@@ -294,10 +306,10 @@ std::optional<Num> delay_bound_reference(
   // times whose cumulative demand matches the service level at a
   // breakpoint of G — where the departure-time map changes slope.
   std::vector<Num> candidates;
-  candidates.reserve(s.size() + g.breakpoints().size());
+  candidates.reserve(s.size() + g.points().size());
   for (const auto& seg : s.segments()) candidates.push_back(seg.start);
-  for (const auto& u : g.breakpoints()) {
-    if (const auto t = s.time_of_bits(g(u)); t.has_value()) {
+  for (const auto& point : g.points()) {
+    if (const auto t = s.time_of_bits(g(point.start)); t.has_value()) {
       candidates.push_back(*t);
     }
   }
@@ -318,7 +330,8 @@ template <typename Num>
 std::optional<Num> max_backlog(const BasicBitStream<Num>& s,
                                const BasicBitStream<Num>& s1_filtered) {
   if (s.is_zero()) return Num(0);
-  const detail::ServiceCurve<Num> g(s1_filtered);
+  std::vector<detail::ServicePoint<Num>> curve;
+  const detail::ServiceCurve<Num> g(s1_filtered.segments(), curve);
 
   const bool tail_stable =
       NumTraits<Num>::kExact
@@ -334,12 +347,12 @@ std::optional<Num> max_backlog(const BasicBitStream<Num>& s,
     const Num v = s.bits_before(seg.start) - g(seg.start);
     if (v > best) best = v;
   }
-  for (const auto& u : g.breakpoints()) {
-    const Num v = s.bits_before(u) - g(u);
+  for (const auto& point : g.points()) {
+    const Num v = s.bits_before(point.start) - g(point.start);
     if (v > best) best = v;
   }
   const Num last =
-      std::max(s.segments().back().start, g.breakpoints().back());
+      std::max(s.segments().back().start, g.points().back().start);
   const Num v = s.bits_before(last) - g(last);
   if (v > best) best = v;
   return best;

@@ -29,6 +29,15 @@
 // caches yields a bitwise-identical CheckResult — the property the
 // version-stamp protocol in concurrent_cac.h relies on.
 //
+// The check runs on the span kernels of core/stream_ops.h and
+// core/delay_bound.h over per-thread scratch (core/stream_scratch.h):
+// every trial stream lives in a scratch frame, never in a BitStream, so
+// an admitted check on a primed view allocates only the returned bounds
+// vector (pinned by tests/core/test_alloc_budget.cpp).  A View accessor
+// may fill a cache lazily in the middle of the check, through the same
+// kernels; it opens its own frame above the check's, so neither clobbers
+// the other's buffers.
+//
 // This header holds plain data plus shared_ptr section handles only — no
 // atomics, no locks; publication and reclamation of snapshots live
 // entirely in core/concurrent_cac.* (lint rule `concurrency-state`).
@@ -132,6 +141,26 @@ struct BasicPointSections {
   [[nodiscard]] View view() const { return View(*this); }
 };
 
+/// The canonical rejection text of a per-point check: queue (out_port, q)
+/// would see `bound` (nullopt = unbounded) against its advertised `dmax`.
+/// Shared by check_point_view and BasicSwitchCac::check_from_scratch.
+template <typename Num>
+[[nodiscard]] std::string point_reject_reason(std::size_t out_port,
+                                              Priority q,
+                                              const std::optional<Num>& bound,
+                                              const Num& dmax) {
+  std::ostringstream os;
+  os << "delay bound at out-port " << out_port << " priority " << q
+     << " would be ";
+  if (bound.has_value()) {
+    os << *bound;
+  } else {
+    os << "unbounded";
+  }
+  os << " > advertised " << dmax;
+  return os.str();
+}
+
 /// The paper's CAC check for one candidate at one out-port, over any
 /// View (live caches or immutable sections).  Steps 1-4 for the
 /// candidate's own priority, Step 5 for every lower level; levels above
@@ -142,9 +171,20 @@ template <typename Num, typename View>
     const View& view, std::size_t in_ports, std::size_t priorities,
     std::size_t out_port, std::size_t in_port, Priority priority,
     const BasicBitStream<Num>& arrival) {
-  using Stream = BasicBitStream<Num>;
+  using Frame = typename detail::StreamScratch<Num>::Frame;
+  using Span = detail::SegmentSpan<Num>;
   BasicSwitchCheckResult<Num> result;
   result.bounds.assign(priorities, std::nullopt);
+
+  // The candidate joins cell (in_port, priority) before the in-link
+  // filter: S_ia + arrival is the trial cell every level at or below
+  // `priority` composes from.
+  Frame frame;
+  std::vector<BasicSegment<Num>>& trial_cell_buffer = frame.segments();
+  detail::multiplex_union(view.cell(in_port, priority).segments(),
+                          arrival.segments(), trial_cell_buffer);
+  BasicBitStream<Num>::canonicalize_segments(trial_cell_buffer);
+  const Span trial_cell = trial_cell_buffer;
 
   for (Priority q = 0; q < priorities; ++q) {
     std::optional<Num> bound;
@@ -152,38 +192,44 @@ template <typename Num, typename View>
       bound = view.bound(q);
     } else if (q == priority) {
       // Candidate raises the offered load of its own queue; the traffic
-      // above it is unchanged.  It joins cell (in_port, q) *before* the
-      // in-link filter; every other in-port contributes its filtered
-      // stream untouched.
-      const Stream trial = filter(multiplex(view.cell(in_port, q), arrival));
-      std::vector<const Stream*> parts;
-      parts.reserve(in_ports);
+      // above it is unchanged.  Every other in-port contributes its
+      // filtered stream untouched.
+      Frame level;
+      const Span trial =
+          detail::filter_segments(trial_cell, Num(0), level.segments());
+      std::vector<Span>& parts = level.spans();
       for (std::size_t i = 0; i < in_ports; ++i) {
-        parts.push_back(i == in_port ? &trial : &view.filtered(i, q));
+        parts.push_back(i == in_port ? trial : view.filtered(i, q).segments());
       }
-      const Stream offered = multiplex_all(parts);
-      bound = delay_bound(offered, view.hp_filtered(q));
+      const Span offered =
+          detail::multiplex_all_segments<Num>(parts, level.segments());
+      bound = detail::delay_bound_segments(offered,
+                                           view.hp_filtered(q).segments());
     } else {
       // Candidate is higher-priority traffic for queue q; q's own
       // offered aggregate is unchanged.  Only in_port's higher-priority
-      // union changes: rebuild it with the candidate multiplexed into
-      // its own cell and reuse the unions of every other in-port.
-      const Stream trial_cell = multiplex(view.cell(in_port, priority),
-                                          arrival);
-      std::vector<const Stream*> hp_parts;
-      hp_parts.reserve(q);
+      // union changes: rebuild it with the trial cell in place of its own
+      // cell and reuse the unions of every other in-port.
+      Frame level;
+      std::vector<Span>& hp_parts = level.spans();
       for (Priority r = 0; r < q; ++r) {
-        hp_parts.push_back(r == priority ? &trial_cell
-                                         : &view.cell(in_port, r));
+        hp_parts.push_back(r == priority ? trial_cell
+                                         : view.cell(in_port, r).segments());
       }
-      const Stream trial_hp = filter(multiplex_all(hp_parts));
-      std::vector<const Stream*> parts;
-      parts.reserve(in_ports);
+      const Span trial_union =
+          detail::multiplex_all_segments<Num>(hp_parts, level.segments());
+      const Span trial_hp =
+          detail::filter_segments(trial_union, Num(0), level.segments());
+      std::vector<Span>& parts = level.spans();
       for (std::size_t i = 0; i < in_ports; ++i) {
-        parts.push_back(i == in_port ? &trial_hp : &view.hp_cell(i, q));
+        parts.push_back(i == in_port ? trial_hp
+                                     : view.hp_cell(i, q).segments());
       }
-      const Stream hp = filter(multiplex_all(parts));
-      bound = delay_bound(view.offered(q), hp);
+      const Span hp_union =
+          detail::multiplex_all_segments<Num>(parts, level.segments());
+      const Span hp =
+          detail::filter_segments(hp_union, Num(0), level.segments());
+      bound = detail::delay_bound_segments(view.offered(q).segments(), hp);
     }
     result.bounds[q] = bound;
     if (q == priority) {
@@ -192,17 +238,8 @@ template <typename Num, typename View>
     if (q >= priority) {
       const Num dmax = view.advertised(q);
       if (!bound.has_value() || *bound > dmax) {
-        std::ostringstream os;
-        os << "delay bound at out-port " << out_port << " priority " << q
-           << " would be ";
-        if (bound.has_value()) {
-          os << *bound;
-        } else {
-          os << "unbounded";
-        }
-        os << " > advertised " << dmax;
         result.admitted = false;
-        result.reason = os.str();
+        result.reason = point_reject_reason(out_port, q, bound, dmax);
         return result;
       }
     }

@@ -4,7 +4,7 @@
 //
 //   * multiplex    (Algorithm 3.2) — pointwise rate sum of two streams;
 //   * multiplex_all — k-way merge form of the same sum, used by the CAC
-//     hot path to aggregate whole cells in one O(S log k) sweep;
+//     hot path to aggregate whole cells in one sweep;
 //   * demultiplex  (Algorithm 3.3) — pointwise rate difference, used to
 //     remove a component from an aggregate it was previously added to;
 //   * filter       (Algorithm 3.4) — the smoothing a transmission link of
@@ -23,23 +23,47 @@
 //
 // All operations preserve the BitStream invariant (step-wise,
 // non-increasing) and are pure: they return new streams.
+//
+// Each algorithm has one definition, a span kernel in `detail` that reads
+// segment spans and writes raw segments into a caller's buffer.  The
+// per-point check (core/point_snapshot.h) and the SwitchCac cache fills
+// run the kernels on per-thread scratch (core/stream_scratch.h) and never
+// build a BitStream for an intermediate; the BitStream forms below are
+// thin wrappers over the same kernels.  Results are canonicalized by the
+// one canonicalize_segments pass wherever they would have been built as
+// a BitStream, so both forms agree bit for bit.
 
 #pragma once
 
-#include <functional>
 #include <optional>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/bitstream.h"
+#include "core/stream_scratch.h"
 #include "util/contract.h"
 
 namespace rtcac {
 
 namespace detail {
+
+template <typename Num>
+using SegmentSpan = std::span<const BasicSegment<Num>>;
+
+/// The zero stream {(0, 0)} and the saturated link {(1, 0)} as spans
+/// over static storage, for kernels whose result is one of them.
+template <typename Num>
+[[nodiscard]] SegmentSpan<Num> zero_segments() noexcept {
+  static const BasicSegment<Num> kZero[1] = {{Num(0), Num(0)}};
+  return kZero;
+}
+template <typename Num>
+[[nodiscard]] SegmentSpan<Num> unit_rate_segments() noexcept {
+  static const BasicSegment<Num> kUnit[1] = {{Num(1), Num(0)}};
+  return kUnit;
+}
 
 /// The two-way union sweep at the heart of `multiplex` (Algorithm 3.2):
 /// appends to `out` one segment per breakpoint in the union of `a` and
@@ -77,6 +101,188 @@ void multiplex_union(std::span<const BasicSegment<Num>> a,
   }
 }
 
+/// The k-way union sweep of multiplex_all: appends to `out` one segment
+/// per breakpoint in the union of `streams` (at least two, each a valid
+/// stream starting at 0), whose rate is the left-nested sum, in input
+/// order, of the rates in force — the association of the left fold of
+/// two-way multiplex, so the two agree bitwise whenever the fold's
+/// canonicalization coalesces nothing (always, for exact scalars).  Each
+/// term is non-increasing in t and fp rounding is monotone, so the sum is
+/// too.  Output is raw, as multiplex_union's.
+///
+/// That sum costs O(k) per breakpoint and cannot be updated incrementally
+/// without changing its rounding, so the next breakpoint is found by a
+/// linear scan over the cursors in the same pass: O(k) per breakpoint
+/// either way, and no slower than a heap at the input counts the check
+/// and rebuild_cell merge (docs/PERFORMANCE.md §3).
+template <typename Num>
+void multiplex_union_all(std::span<const SegmentSpan<Num>> streams,
+                         std::vector<BasicSegment<Num>>& out) {
+  using Seg = BasicSegment<Num>;
+  // cursor[s] is one past the segment of stream s in force.  Every stream
+  // starts at 0, so from the first breakpoint on each cursor is >= 1.
+  std::vector<std::size_t>& cursor =
+      StreamScratch<Num>::local().merge_cursors;
+  cursor.assign(streams.size(), 0);
+  Num t{0};
+  for (;;) {
+    // Advance the cursors sitting on t, add the rates in force, and find
+    // the next breakpoint.
+    Num rate_sum{0};
+    const Num* next = nullptr;
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      const SegmentSpan<Num> segs = streams[s];
+      std::size_t& k = cursor[s];
+      if (k < segs.size() && segs[k].start == t) ++k;
+      rate_sum += segs[k - 1].rate;
+      if (k < segs.size() && (next == nullptr || segs[k].start < *next)) {
+        next = &segs[k].start;
+      }
+    }
+    out.push_back(Seg{rate_sum, t});
+    if (next == nullptr) return;
+    t = *next;
+  }
+}
+
+/// K-way multiplex over spans: the canonical segments of the aggregate.
+/// Zero streams contribute nothing; with none left the result is the zero
+/// stream, and a lone non-zero input is returned unchanged (not copied).
+/// Otherwise the union is written to `out`, canonicalized there, and
+/// `out` is returned.  The result views `out` or the inputs, so it lives
+/// as long as they do.
+template <typename Num>
+[[nodiscard]] SegmentSpan<Num> multiplex_all_segments(
+    std::span<const SegmentSpan<Num>> streams,
+    std::vector<BasicSegment<Num>>& out) {
+  std::vector<SegmentSpan<Num>>& active =
+      StreamScratch<Num>::local().merge_inputs;
+  active.clear();
+  std::size_t total = 0;
+  for (const SegmentSpan<Num>& s : streams) {
+    if (is_zero_segments(s)) continue;
+    active.push_back(s);
+    total += s.size();
+  }
+  if (active.empty()) return zero_segments<Num>();
+  if (active.size() == 1) return active.front();
+  out.clear();
+  out.reserve(total);
+  multiplex_union_all<Num>(active, out);
+  BasicBitStream<Num>::canonicalize_segments(out);
+  RTCAC_INVARIANT_AUDIT(BasicBitStream<Num>::segments_valid(out),
+                        "multiplex_all: output violates the stream invariant");
+  return out;
+}
+
+/// What smooth_segments made of its input.
+enum class FilterShape {
+  kUnchanged,  ///< already link-feasible: the output is the input
+  kSaturated,  ///< the queue never drains: the output is {(1, 0)}
+  kSmoothed,   ///< the raw smoothed segments were written to `out`
+};
+
+/// The link filter of Algorithm 3.4 (see `filter` below) over a segment
+/// span.  Writes raw (uncanonicalized) segments to `out` only for
+/// kSmoothed.
+template <typename Num>
+[[nodiscard]] FilterShape smooth_segments(SegmentSpan<Num> segs,
+                                          const Num& initial_backlog,
+                                          std::vector<BasicSegment<Num>>& out) {
+  using Seg = BasicSegment<Num>;
+  RTCAC_REQUIRE(!(initial_backlog < Num(0)),
+                "filter: negative initial backlog");
+  // Fast path: nothing to smooth.
+  if (initial_backlog == Num(0) && segs.front().rate <= Num(1)) {
+    return FilterShape::kUnchanged;
+  }
+
+  // Walk segments tracking queue occupancy Q(t); Q' = rate - 1.
+  // Q is concave (rate non-increasing), so the first time Q hits zero the
+  // busy period is over for good.
+  Num queue = initial_backlog;
+  std::optional<Num> drain_time;
+  std::size_t drain_seg = 0;
+  for (std::size_t k = 0; k < segs.size(); ++k) {
+    const Num rate = segs[k].rate;
+    if (rate < Num(1)) {
+      const Num slope = Num(1) - rate;  // drain speed
+      if (k + 1 < segs.size()) {
+        const Num len = segs[k + 1].start - segs[k].start;
+        if (queue <= slope * len) {
+          drain_time = segs[k].start + queue / slope;
+          drain_seg = k;
+          break;
+        }
+        queue -= slope * len;
+      } else {
+        drain_time = segs[k].start + queue / slope;
+        drain_seg = k;
+        break;
+      }
+    } else if (rate > Num(1)) {
+      if (k + 1 == segs.size()) break;  // grows forever
+      queue += (rate - Num(1)) * (segs[k + 1].start - segs[k].start);
+    } else {
+      // rate == 1: queue constant through this segment.
+      if (k + 1 == segs.size()) break;
+    }
+  }
+
+  if (!drain_time.has_value()) {
+    // Link saturated forever.
+    return FilterShape::kSaturated;
+  }
+  if (*drain_time == Num(0)) {
+    // Degenerate: zero backlog and first rate exactly 1 was handled by the
+    // fast path only for rate <= 1; an initial_backlog of 0 with rate > 1
+    // cannot drain at t = 0.  Reaching here means initial_backlog == 0 and
+    // the stream is already link-feasible.
+    return FilterShape::kUnchanged;
+  }
+
+  out.clear();
+  out.reserve(segs.size() - drain_seg + 1);
+  out.push_back(Seg{Num(1), Num(0)});
+  // After the drain instant the output follows the input.  The input rate
+  // at drain_time is segs[drain_seg].rate (< 1, or the drain would not
+  // have completed inside this segment) — unless the queue emptied exactly
+  // at the segment's end, in which case the next segment takes over
+  // immediately and emitting the drained one would duplicate its start.
+  std::size_t resume = drain_seg;
+  if (resume + 1 < segs.size() && !(segs[resume + 1].start > *drain_time)) {
+    ++resume;
+  }
+  out.push_back(Seg{segs[resume].rate, *drain_time});
+  for (std::size_t k = resume + 1; k < segs.size(); ++k) {
+    out.push_back(segs[k]);
+  }
+  return FilterShape::kSmoothed;
+}
+
+/// `filter` over spans: the canonical segments of the filtered stream —
+/// the input itself, the saturated link, or `out` holding the
+/// canonicalized smoothed segments.
+template <typename Num>
+[[nodiscard]] SegmentSpan<Num> filter_segments(
+    SegmentSpan<Num> segs, const Num& initial_backlog,
+    std::vector<BasicSegment<Num>>& out) {
+  switch (smooth_segments(segs, initial_backlog, out)) {
+    case FilterShape::kUnchanged:
+      return segs;
+    case FilterShape::kSaturated:
+      return unit_rate_segments<Num>();
+    case FilterShape::kSmoothed:
+      break;
+  }
+  BasicBitStream<Num>::canonicalize_segments(out);
+  RTCAC_INVARIANT_AUDIT(
+      BasicBitStream<Num>::segments_valid(out) &&
+          NumTraits<Num>::nearly_leq(out.front().rate, Num(1)),
+      "filter: output must be a link-feasible (rate <= 1) stream");
+  return out;
+}
+
 }  // namespace detail
 
 /// Multiplexes two streams (Algorithm 3.2): the worst-case aggregate of two
@@ -95,66 +301,23 @@ BasicBitStream<Num> multiplex(const BasicBitStream<Num>& s1,
 }
 
 /// K-way multiplex: the aggregate of an arbitrary set of streams in one
-/// merge sweep.  Equivalent to left-folding `multiplex` over the set, and
-/// deliberately sums the in-force rates left-to-right at every union
-/// breakpoint so the result matches the fold *bitwise* whenever no
+/// merge sweep (detail::multiplex_union_all).  Equivalent to left-folding
+/// `multiplex` over the set, and bitwise equal to the fold whenever no
 /// tolerance coalescing fires in the fold's intermediates (always, for
 /// exact scalars) — remove/rebuild must restore aggregates bit for bit.
-/// Unlike the fold it allocates the output exactly once and never
-/// materializes the O(k) intermediate partial aggregates.  Null and zero
-/// entries contribute nothing; an empty set yields the zero stream.
+/// Unlike the fold it never materializes the O(k) intermediate partial
+/// aggregates.  Null and zero entries contribute nothing; an empty set
+/// yields the zero stream.
 template <typename Num>
 BasicBitStream<Num> multiplex_all(
     std::span<const BasicBitStream<Num>* const> streams) {
-  using Seg = BasicSegment<Num>;
-  std::vector<std::span<const Seg>> active;
-  active.reserve(streams.size());
-  std::size_t total = 0;
-  const BasicBitStream<Num>* only = nullptr;
+  typename detail::StreamScratch<Num>::Frame frame;
+  std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
   for (const BasicBitStream<Num>* s : streams) {
-    if (s == nullptr || s->is_zero()) continue;
-    only = s;
-    active.push_back(s->segments());
-    total += s->size();
+    if (s != nullptr) parts.push_back(s->segments());
   }
-  if (active.empty()) return BasicBitStream<Num>{};
-  if (active.size() == 1) return *only;
-
-  // Min-heap over (next breakpoint, stream index); all entries sharing a
-  // breakpoint are popped together so each union breakpoint emits exactly
-  // one output segment.
-  using Entry = std::pair<Num, std::size_t>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-  std::vector<std::size_t> pos(active.size(), 0);
-  for (std::size_t s = 0; s < active.size(); ++s) {
-    heap.emplace(active[s].front().start, s);
-  }
-  std::vector<Seg> out;
-  out.reserve(total);
-  while (!heap.empty()) {
-    const Num t = heap.top().first;
-    while (!heap.empty() && heap.top().first == t) {
-      const std::size_t s = heap.top().second;
-      heap.pop();
-      const std::size_t k = pos[s]++;
-      if (k + 1 < active[s].size()) {
-        heap.emplace(active[s][k + 1].start, s);
-      }
-    }
-    // Left-nested sum in input order: identical association to the fold's
-    // partial aggregates, so the rates agree bitwise (see above).  Each
-    // term is non-increasing in t and fp rounding is monotone, so the sum
-    // stays non-increasing too.
-    Num rate_sum{0};
-    for (std::size_t s = 0; s < active.size(); ++s) {
-      rate_sum += pos[s] > 0 ? active[s][pos[s] - 1].rate : Num(0);
-    }
-    out.push_back(Seg{rate_sum, t});
-  }
-  BasicBitStream<Num> result(std::move(out));
-  RTCAC_INVARIANT_AUDIT(result.invariants_hold(),
-                        "multiplex_all: output violates the stream invariant");
-  return result;
+  return BasicBitStream<Num>::from_canonical(
+      detail::multiplex_all_segments<Num>(parts, frame.segments()));
 }
 
 /// Convenience overload over a materialized pointer container.
@@ -244,77 +407,21 @@ BasicBitStream<Num> demultiplex(const BasicBitStream<Num>& s1,
 ///
 /// If the queue never drains (tail input rate >= 1 with backlog, or > 1),
 /// the output is a permanent full-rate stream {(1, 0)}.
+///
+/// The kernel writes straight into the result's own buffer, not into
+/// scratch: `delay` (the per-hop arrival of every request) gets its
+/// result with no copy.
 template <typename Num>
 BasicBitStream<Num> filter(const BasicBitStream<Num>& s,
                            const Num& initial_backlog = Num(0)) {
-  using Seg = BasicSegment<Num>;
-  RTCAC_REQUIRE(!(initial_backlog < Num(0)),
-                "filter: negative initial backlog");
-  const auto segs = s.segments();
-  // Fast path: nothing to smooth.
-  if (initial_backlog == Num(0) && segs.front().rate <= Num(1)) {
-    return s;
-  }
-
-  // Walk segments tracking queue occupancy Q(t); Q' = rate - 1.
-  // Q is concave (rate non-increasing), so the first time Q hits zero the
-  // busy period is over for good.
-  Num queue = initial_backlog;
-  std::optional<Num> drain_time;
-  std::size_t drain_seg = 0;
-  for (std::size_t k = 0; k < segs.size(); ++k) {
-    const Num rate = segs[k].rate;
-    if (rate < Num(1)) {
-      const Num slope = Num(1) - rate;  // drain speed
-      if (k + 1 < segs.size()) {
-        const Num len = segs[k + 1].start - segs[k].start;
-        if (queue <= slope * len) {
-          drain_time = segs[k].start + queue / slope;
-          drain_seg = k;
-          break;
-        }
-        queue -= slope * len;
-      } else {
-        drain_time = segs[k].start + queue / slope;
-        drain_seg = k;
-        break;
-      }
-    } else if (rate > Num(1)) {
-      if (k + 1 == segs.size()) break;  // grows forever
-      queue += (rate - Num(1)) * (segs[k + 1].start - segs[k].start);
-    } else {
-      // rate == 1: queue constant through this segment.
-      if (k + 1 == segs.size()) break;
-    }
-  }
-
-  if (!drain_time.has_value()) {
-    // Link saturated forever.
-    return BasicBitStream<Num>::constant(Num(1));
-  }
-
-  std::vector<Seg> out;
-  out.reserve(segs.size() - drain_seg + 1);
-  if (*drain_time == Num(0)) {
-    // Degenerate: zero backlog and first rate exactly 1 was handled by the
-    // fast path only for rate <= 1; an initial_backlog of 0 with rate > 1
-    // cannot drain at t = 0.  Reaching here means initial_backlog == 0 and
-    // the stream is already link-feasible.
-    return s;
-  }
-  out.push_back(Seg{Num(1), Num(0)});
-  // After the drain instant the output follows the input.  The input rate
-  // at drain_time is segs[drain_seg].rate (< 1, or the drain would not
-  // have completed inside this segment) — unless the queue emptied exactly
-  // at the segment's end, in which case the next segment takes over
-  // immediately and emitting the drained one would duplicate its start.
-  std::size_t resume = drain_seg;
-  if (resume + 1 < segs.size() && !(segs[resume + 1].start > *drain_time)) {
-    ++resume;
-  }
-  out.push_back(Seg{segs[resume].rate, *drain_time});
-  for (std::size_t k = resume + 1; k < segs.size(); ++k) {
-    out.push_back(segs[k]);
+  std::vector<BasicSegment<Num>> out;
+  switch (detail::smooth_segments(s.segments(), initial_backlog, out)) {
+    case detail::FilterShape::kUnchanged:
+      return s;
+    case detail::FilterShape::kSaturated:
+      return BasicBitStream<Num>::constant(Num(1));
+    case detail::FilterShape::kSmoothed:
+      break;
   }
   BasicBitStream<Num> result(std::move(out));
   RTCAC_INVARIANT_AUDIT(

@@ -115,6 +115,11 @@ void BasicSwitchCac<Num>::invalidate_cell(std::size_t in_port,
   }
 }
 
+// The ensure_* fills compute in a scratch frame of their own
+// (core/stream_scratch.h) — they may run in the middle of a check, whose
+// frame lies below — and keep only the final stream, copied out at exact
+// size.
+
 template <typename Num>
 const typename BasicSwitchCac<Num>::Stream&
 BasicSwitchCac<Num>::ensure_filtered_cell(std::size_t in_port,
@@ -122,7 +127,9 @@ BasicSwitchCac<Num>::ensure_filtered_cell(std::size_t in_port,
                                           Priority priority) const {
   const std::size_t c = cell_index(in_port, out_port, priority);
   if (filtered_cell_dirty_[c] != 0) {
-    filtered_cell_[c] = filter(arrival_aggr_[c]);
+    typename detail::StreamScratch<Num>::Frame frame;
+    filtered_cell_[c] = Stream::from_canonical(detail::filter_segments(
+        arrival_aggr_[c].segments(), Num(0), frame.segments()));
     filtered_cell_dirty_[c] = 0;
   }
   return filtered_cell_[c];
@@ -137,12 +144,16 @@ BasicSwitchCac<Num>::ensure_hp_cell(std::size_t in_port, std::size_t out_port,
     if (priority == 0) {
       hp_cell_filtered_[c] = Stream{};
     } else {
-      std::vector<const Stream*> parts;
-      parts.reserve(priority);
+      typename detail::StreamScratch<Num>::Frame frame;
+      std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
       for (Priority q = 0; q < priority; ++q) {
-        parts.push_back(&arrival_aggr_[cell_index(in_port, out_port, q)]);
+        parts.push_back(
+            arrival_aggr_[cell_index(in_port, out_port, q)].segments());
       }
-      hp_cell_filtered_[c] = filter(multiplex_all(parts));
+      const detail::SegmentSpan<Num> hp_union =
+          detail::multiplex_all_segments<Num>(parts, frame.segments());
+      hp_cell_filtered_[c] = Stream::from_canonical(
+          detail::filter_segments(hp_union, Num(0), frame.segments()));
     }
     hp_cell_dirty_[c] = 0;
   }
@@ -155,12 +166,13 @@ BasicSwitchCac<Num>::ensure_offered(std::size_t out_port,
                                     Priority priority) const {
   const std::size_t q = queue_index(out_port, priority);
   if (offered_dirty_[q] != 0) {
-    std::vector<const Stream*> parts;
-    parts.reserve(config_.in_ports);
+    typename detail::StreamScratch<Num>::Frame frame;
+    std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
     for (std::size_t i = 0; i < config_.in_ports; ++i) {
-      parts.push_back(&ensure_filtered_cell(i, out_port, priority));
+      parts.push_back(ensure_filtered_cell(i, out_port, priority).segments());
     }
-    offered_cache_[q] = multiplex_all(parts);
+    offered_cache_[q] = Stream::from_canonical(
+        detail::multiplex_all_segments<Num>(parts, frame.segments()));
     offered_dirty_[q] = 0;
   }
   return offered_cache_[q];
@@ -172,14 +184,17 @@ BasicSwitchCac<Num>::ensure_hp_filtered(std::size_t out_port,
                                         Priority priority) const {
   const std::size_t q = queue_index(out_port, priority);
   if (hp_filtered_dirty_[q] != 0) {
-    std::vector<const Stream*> parts;
-    parts.reserve(config_.in_ports);
+    typename detail::StreamScratch<Num>::Frame frame;
+    std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
     for (std::size_t i = 0; i < config_.in_ports; ++i) {
-      parts.push_back(&ensure_hp_cell(i, out_port, priority));
+      parts.push_back(ensure_hp_cell(i, out_port, priority).segments());
     }
     // The higher-priority traffic leaves through the same unit-rate
     // out-link, so it can occupy at most rate 1 of it.
-    hp_filtered_cache_[q] = filter(multiplex_all(parts));
+    const detail::SegmentSpan<Num> hp_union =
+        detail::multiplex_all_segments<Num>(parts, frame.segments());
+    hp_filtered_cache_[q] = Stream::from_canonical(
+        detail::filter_segments(hp_union, Num(0), frame.segments()));
     hp_filtered_dirty_[q] = 0;
   }
   return hp_filtered_cache_[q];
@@ -337,17 +352,8 @@ BasicSwitchCac<Num>::check_from_scratch(std::size_t in_port,
     if (q >= priority) {
       const Num dmax = advertised_[queue_index(out_port, q)];
       if (!bound.has_value() || *bound > dmax) {
-        std::ostringstream os;
-        os << "delay bound at out-port " << out_port << " priority " << q
-           << " would be ";
-        if (bound.has_value()) {
-          os << *bound;
-        } else {
-          os << "unbounded";
-        }
-        os << " > advertised " << dmax;
         result.admitted = false;
-        result.reason = os.str();
+        result.reason = point_reject_reason(out_port, q, bound, dmax);
         return result;
       }
     }

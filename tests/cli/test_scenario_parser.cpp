@@ -97,6 +97,12 @@ struct BadCase {
   const char* needle;  // expected fragment of the error message
 };
 
+// gtest would print the struct as raw bytes, padding and pointer values
+// included, and CMake appends that to the ctest name.  The label already
+// names the test, so a fixed rendering keeps the name short and the same
+// on every build.
+void PrintTo(const BadCase& /*c*/, std::ostream* os) { *os << "BadCase"; }
+
 class ScenarioParserErrors : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ScenarioParserErrors, RejectsWithDiagnostic) {
@@ -162,6 +168,23 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"terminal_two_links",
                 "terminal t\nswitch a\nswitch b\nlink t a\nlink t b\n",
                 "access link"}),
+    [](const auto& info) { return std::string(info.param.label); });
+
+// Numbers that are finite doubles but no integer of the target type, or
+// not finite at all: each used to be cast before any range check.
+INSTANTIATE_TEST_SUITE_P(
+    HostileNumbers, ScenarioParserErrors,
+    ::testing::Values(
+        BadCase{"huge_propagation", "switch a\nswitch b\nlink a b 1e30\n",
+                "propagation must be a non-negative integer"},
+        BadCase{"inf_priorities", "priorities inf\n", "positive integer"},
+        BadCase{"inf_queue", "queue inf\n", "positive and finite"},
+        BadCase{"nan_mbs", "switch a\nswitch b\nlink a b\n"
+                           "connect c route=a-b vbr=0.5,0.1,nan\n",
+                "mbs must be a positive integer"},
+        BadCase{"huge_prio", "priorities 2\nswitch a\nswitch b\nlink a b\n"
+                             "connect c route=a-b cbr=0.5 prio=1e30\n",
+                "prio must be a non-negative integer"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace

@@ -31,6 +31,23 @@ BitStream random_arrival(Xorshift& rng) {
   return TrafficDescriptor::vbr(pcr, scr, mbs).to_bitstream();
 }
 
+// A long step stream: 64+ segments with rates on a 1/4096 grid, peak
+// <= 1/16, so aggregates and scratch buffers grow past 64 segments.
+BitStream long_arrival(Xorshift& rng) {
+  std::vector<double> rates;
+  for (int i = 0; i < 72; ++i) {
+    rates.push_back(static_cast<double>(1 + rng.below(256)) / 4096.0);
+  }
+  std::sort(rates.rbegin(), rates.rend());
+  std::vector<Segment> segs;
+  double t = 0;
+  for (const double r : rates) {
+    segs.push_back(Segment{r, t});
+    t += 0.5 * static_cast<double>(1 + rng.below(8));
+  }
+  return BitStream(std::move(segs));
+}
+
 template <typename Num>
 void expect_same_decision(
     const BasicSwitchCheckResult<Num>& fast,
@@ -53,23 +70,37 @@ class CacheCoherenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheCoherenceTest,
                          ::testing::Range<std::uint64_t>(0, 12));
 
-TEST_P(CacheCoherenceTest, CheckMatchesFromScratchUnderChurn) {
-  Xorshift rng(GetParam() * 1000003 + 1);
-  SwitchCac::Config cfg;
-  cfg.in_ports = 3;
-  cfg.out_ports = 2;
-  cfg.priorities = 3;
-  cfg.advertised_bound = 256.0;
+// Seeded add/remove/reclaim churn; before every step the cached check
+// must agree with check_from_scratch.  With `standing` set, every in-port
+// first gets one small connection per priority at out-port 0, so each
+// merge there has one non-zero input per in-port, and one arrival in
+// four is a long (64+ segment) stream.
+void churn_check_matches_from_scratch(std::uint64_t seed,
+                                      const SwitchCac::Config& cfg,
+                                      bool standing) {
+  Xorshift rng(seed * 1000003 + 1);
   SwitchCac cac(cfg);
 
   std::vector<ConnectionId> live;
   ConnectionId next_id = 1;
+  if (standing) {
+    const BitStream small =
+        TrafficDescriptor::vbr(1.0 / 64, 1.0 / 1024, 4).to_bitstream();
+    for (std::size_t in = 0; in < cfg.in_ports; ++in) {
+      for (Priority p = 0; p < cfg.priorities; ++p) {
+        cac.add(next_id, in, 0, p, small);
+        live.push_back(next_id++);
+      }
+    }
+  }
   double now = 0.0;
   for (int step = 0; step < 60; ++step) {
     const std::size_t in = rng.below(cfg.in_ports);
     const std::size_t out = rng.below(cfg.out_ports);
     const auto prio = static_cast<Priority>(rng.below(cfg.priorities));
-    const BitStream arrival = random_arrival(rng);
+    const BitStream arrival = standing && rng.below(4) == 0
+                                  ? long_arrival(rng)
+                                  : random_arrival(rng);
 
     // Every step: the cached trial must agree with the from-scratch one.
     expect_same_decision(cac.check(in, out, prio, arrival),
@@ -97,6 +128,26 @@ TEST_P(CacheCoherenceTest, CheckMatchesFromScratchUnderChurn) {
     ASSERT_TRUE(cac.state_consistent());
     ASSERT_TRUE(cac.cache_coherent());
   }
+}
+
+TEST_P(CacheCoherenceTest, CheckMatchesFromScratchUnderChurn) {
+  SwitchCac::Config cfg;
+  cfg.in_ports = 3;
+  cfg.out_ports = 2;
+  cfg.priorities = 3;
+  cfg.advertised_bound = 256.0;
+  churn_check_matches_from_scratch(GetParam(), cfg, false);
+}
+
+// 66 in-ports: every merge over in-ports has more inputs than a 64-entry
+// cursor array holds.
+TEST_P(CacheCoherenceTest, CheckMatchesFromScratchUnderChurnOnWideSwitch) {
+  SwitchCac::Config cfg;
+  cfg.in_ports = 66;
+  cfg.out_ports = 2;
+  cfg.priorities = 3;
+  cfg.advertised_bound = 256.0;
+  churn_check_matches_from_scratch(GetParam(), cfg, true);
 }
 
 TEST_P(CacheCoherenceTest, CachedBoundsMatchFreshTwin) {
@@ -210,17 +261,31 @@ TEST_P(CacheCoherenceTest, BatchedReclaimEqualsPerIdRemoves) {
   EXPECT_TRUE(batched.cache_coherent());
 }
 
-TEST_P(CacheCoherenceTest, ExactInstantiationAgreesExactly) {
-  Xorshift rng(GetParam() * 65537 + 13);
-  ExactSwitchCac::Config cfg;
-  cfg.in_ports = 2;
-  cfg.out_ports = 2;
-  cfg.priorities = 2;
-  cfg.advertised_bound = Rational(256);
+// The Rational twin of the churn above: cached check and fold must agree
+// bit for bit.  With `standing` set, every in-port first gets one small
+// connection per priority at out-port 0.
+void exact_check_matches_from_scratch(std::uint64_t seed,
+                                      const ExactSwitchCac::Config& cfg,
+                                      bool standing) {
+  Xorshift rng(seed * 65537 + 13);
   ExactSwitchCac cac(cfg);
 
   std::vector<ConnectionId> live;
   ConnectionId next_id = 1;
+  if (standing) {
+    for (std::size_t in = 0; in < cfg.in_ports; ++in) {
+      for (Priority p = 0; p < cfg.priorities; ++p) {
+        // Distinct burst ends per in-port: the aggregates over in-ports
+        // carry 64+ breakpoints.
+        const ExactBitStream small{
+            ExactSegment{Rational(1, 64), Rational(0)},
+            ExactSegment{Rational(1, 1024),
+                         Rational(static_cast<std::int64_t>(2 + in))}};
+        cac.add(next_id, in, 0, p, small);
+        live.push_back(next_id++);
+      }
+    }
+  }
   for (int step = 0; step < 25; ++step) {
     const std::size_t in = rng.below(cfg.in_ports);
     const std::size_t out = rng.below(cfg.out_ports);
@@ -239,6 +304,7 @@ TEST_P(CacheCoherenceTest, ExactInstantiationAgreesExactly) {
     const auto fast = cac.check(in, out, prio, arrival);
     const auto slow = cac.check_from_scratch(in, out, prio, arrival);
     ASSERT_EQ(fast.admitted, slow.admitted);
+    ASSERT_EQ(fast.reason, slow.reason);
     ASSERT_EQ(fast.bounds.size(), slow.bounds.size());
     for (std::size_t q = 0; q < fast.bounds.size(); ++q) {
       // Exact scalar: cached composition must equal the fold bit for bit.
@@ -256,6 +322,24 @@ TEST_P(CacheCoherenceTest, ExactInstantiationAgreesExactly) {
     ASSERT_TRUE(cac.state_consistent());
     ASSERT_TRUE(cac.cache_coherent());
   }
+}
+
+TEST_P(CacheCoherenceTest, ExactInstantiationAgreesExactly) {
+  ExactSwitchCac::Config cfg;
+  cfg.in_ports = 2;
+  cfg.out_ports = 2;
+  cfg.priorities = 2;
+  cfg.advertised_bound = Rational(256);
+  exact_check_matches_from_scratch(GetParam(), cfg, false);
+}
+
+TEST_P(CacheCoherenceTest, ExactInstantiationAgreesExactlyOnWideSwitch) {
+  ExactSwitchCac::Config cfg;
+  cfg.in_ports = 66;
+  cfg.out_ports = 2;
+  cfg.priorities = 2;
+  cfg.advertised_bound = Rational(256);
+  exact_check_matches_from_scratch(GetParam(), cfg, true);
 }
 
 TEST(CacheCoherence, QueueIndexedQueriesMatchRecordScan) {

@@ -63,6 +63,13 @@ struct VbrCase {
   std::uint32_t mbs;
 };
 
+// Without it gtest prints the raw bytes, padding included, into the ctest
+// name, which then differs between builds.
+void PrintTo(const VbrCase& c, std::ostream* os) {
+  *os << "(" << c.n << ", " << c.pcr << ", " << c.scr << ", " << c.mbs
+      << ")";
+}
+
 class AlignedVbr : public ::testing::TestWithParam<VbrCase> {};
 
 INSTANTIATE_TEST_SUITE_P(

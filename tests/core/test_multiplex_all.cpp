@@ -18,17 +18,21 @@ namespace rtcac {
 namespace {
 
 // Random non-increasing step stream with rational-friendly values: rates
-// are multiples of 1/64 in [0, max_rate], times multiples of 1/4.  Sums
-// of such rates are exact in double, so fold and k-way results must be
-// bit-identical, not merely within tolerance.
+// are multiples of 1/rate_den in [0, max_rate], times multiples of 1/4.
+// Sums of such rates are exact in double, so fold and k-way results must
+// be bit-identical, not merely within tolerance.
 BitStream random_stream(Xorshift& rng, double max_rate = 1.0,
-                        std::size_t max_segments = 6) {
-  const std::size_t n = 1 + rng.below(max_segments);
+                        std::size_t max_segments = 6,
+                        std::size_t min_segments = 1,
+                        std::int64_t rate_den = 64) {
+  const std::size_t n =
+      min_segments + rng.below(max_segments - min_segments + 1);
+  const auto den = static_cast<double>(rate_den);
   std::vector<double> rates;
   for (std::size_t i = 0; i < n; ++i) {
     rates.push_back(static_cast<double>(rng.below(
-                        static_cast<std::uint64_t>(max_rate * 64) + 1)) /
-                    64.0);
+                        static_cast<std::uint64_t>(max_rate * den) + 1)) /
+                    den);
   }
   std::sort(rates.rbegin(), rates.rend());
   std::vector<Segment> segs;
@@ -40,11 +44,13 @@ BitStream random_stream(Xorshift& rng, double max_rate = 1.0,
   return BitStream(std::move(segs));
 }
 
-ExactBitStream to_exact(const BitStream& s) {
+ExactBitStream to_exact(const BitStream& s, std::int64_t rate_den = 64) {
+  const auto den = static_cast<double>(rate_den);
   std::vector<ExactSegment> segs;
   for (const auto& seg : s.segments()) {
     segs.push_back(ExactSegment{
-        Rational(static_cast<std::int64_t>(std::lround(seg.rate * 64)), 64),
+        Rational(static_cast<std::int64_t>(std::lround(seg.rate * den)),
+                 rate_den),
         Rational(static_cast<std::int64_t>(std::lround(seg.start * 4)), 4)});
   }
   return ExactBitStream(std::move(segs));
@@ -118,6 +124,31 @@ TEST_P(MultiplexAllTest, DemultiplexUnwindsKWayAggregate) {
     EXPECT_EQ(aggr, multiplex_all(std::span<const BitStream>(prefix)));
   }
   EXPECT_EQ(aggr, streams.front());
+}
+
+// Wide merges of long streams.  The input counts straddle the k-way
+// merge's switch from a linear cursor scan to a heap and pass 64, so the
+// per-thread cursor arrays must grow (a fixed 64-entry array overflows
+// here); inputs of 64+ segments grow the output buffers too.
+TEST(MultiplexAll, WideMergesOfLongStreamsMatchLeftFold) {
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    Xorshift rng(seed * 1442695040888963407 + 5);
+    for (const std::size_t k : {20u, 40u, 65u, 130u}) {
+      std::vector<BitStream> streams;
+      std::vector<ExactBitStream> exact;
+      for (std::size_t i = 0; i < k; ++i) {
+        streams.push_back(random_stream(rng, 1.0, 90, 76, 1024));
+        ASSERT_GE(streams.back().size(), 64u);
+        exact.push_back(to_exact(streams.back(), 1024));
+      }
+      EXPECT_EQ(multiplex_all(std::span<const BitStream>(streams)),
+                fold_multiplex(streams))
+          << k << " inputs, seed " << seed;
+      EXPECT_EQ(multiplex_all(std::span<const ExactBitStream>(exact)),
+                fold_multiplex(exact))
+          << k << " inputs, seed " << seed;
+    }
+  }
 }
 
 TEST(MultiplexAll, EmptySetIsZero) {
