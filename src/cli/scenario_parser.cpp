@@ -211,6 +211,11 @@ ScenarioFile parse_scenario(std::istream& in) {
         } else if (key == "deadline") {
           conn.request.deadline =
               parse_number(line_no, value, "deadline");
+          // inf (the QosRequest default) means no deadline.  NaN would
+          // pass every deadline test, so it must not parse.
+          if (!(conn.request.deadline >= 0)) {
+            fail(line_no, "deadline must be non-negative (inf for none)");
+          }
         } else if (key == "prio") {
           conn.request.priority = parse_whole<Priority>(
               line_no, value, "priority", 0,

@@ -21,6 +21,15 @@
 // production instantiation; `ExactBitStream` (Rational) provides exact
 // admission decisions and is used by the tests to cross-validate the
 // floating-point code.
+//
+// Storage (docs/PERFORMANCE.md, "Shared stream storage"): a stream is an
+// immutable handle to one reference-counted heap block holding its
+// segments and their prefix areas, so copying, assigning or destroying a
+// stream only adjusts a count — the merge trees, the derived-stream
+// caches, the published snapshots and the prepared arrivals all hold the
+// same blocks.  Nothing writes through a handle after construction; a
+// "changed" stream is a new block.  The zero stream owns no block: its
+// handle points at static storage and has no counter to touch.
 
 #pragma once
 
@@ -29,6 +38,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -106,9 +116,20 @@ class BasicBitStream {
   using Segment = BasicSegment<Num>;
   using Traits = NumTraits<Num>;
 
-  /// The zero stream (no traffic).
-  BasicBitStream()
-      : segments_{Segment{Num(0), Num(0)}}, cum_bits_{Num(0)} {}
+  /// The zero stream (no traffic).  Allocates nothing.
+  BasicBitStream() noexcept = default;
+
+  BasicBitStream(const BasicBitStream&) = default;
+  BasicBitStream& operator=(const BasicBitStream&) = default;
+  /// A moved-from stream is the zero stream.
+  BasicBitStream(BasicBitStream&& other) noexcept
+      : block_(std::exchange(other.block_, zero_block())),
+        size_(std::exchange(other.size_, std::size_t{1})) {}
+  BasicBitStream& operator=(BasicBitStream&& other) noexcept {
+    block_ = std::exchange(other.block_, zero_block());
+    size_ = std::exchange(other.size_, std::size_t{1});
+    return *this;
+  }
 
   /// Constant-rate stream from time 0.  Throws on negative rate.
   static BasicBitStream constant(const Num& rate) {
@@ -117,38 +138,29 @@ class BasicBitStream {
 
   /// Builds a stream from segments, validating and canonicalizing.
   /// Throws std::invalid_argument on any invariant violation.
-  explicit BasicBitStream(std::vector<Segment> segments)
-      : segments_(std::move(segments)) {
-    canonicalize_segments(segments_);
-    rebuild_prefix_areas();
+  explicit BasicBitStream(std::vector<Segment> segments) {
+    canonicalize_segments(segments);
+    store(segments);
   }
 
   BasicBitStream(std::initializer_list<Segment> segments)
-      : segments_(segments) {
-    canonicalize_segments(segments_);
-    rebuild_prefix_areas();
-  }
+      : BasicBitStream(std::vector<Segment>(segments)) {}
 
   /// Builds a stream from segments that are already canonical (validated,
-  /// non-increasing, no coalescable adjacents) — the merge-tree hot path
-  /// (core/merge_tree.h) produces exactly such output, so re-running the
-  /// full canonicalize pass per aggregate materialization would be pure
-  /// overhead.  Audit builds re-verify the claim; a non-canonical input
-  /// is a caller bug.
-  static BasicBitStream from_canonical(std::vector<Segment> segments) {
-    BasicBitStream s(CanonicalTag{}, std::move(segments));
+  /// non-increasing, no coalescable adjacents) — the span kernels
+  /// (core/stream_ops.h) and the merge tree (core/merge_tree.h) produce
+  /// exactly such output, typically in per-thread scratch
+  /// (core/stream_scratch.h), so re-running the full canonicalize pass per
+  /// aggregate materialization would be pure overhead.  Copies the
+  /// segments into one new block.  Audit builds re-verify the claim; a
+  /// non-canonical input is a caller bug.
+  static BasicBitStream from_canonical(std::span<const Segment> segments) {
+    BasicBitStream s;
+    s.store(segments);
     RTCAC_INVARIANT_AUDIT(
         s.is_canonical_form(),
         "BitStream::from_canonical: input was not canonical");
     return s;
-  }
-
-  /// from_canonical over a span — typically a span kernel's result in
-  /// per-thread scratch (core/stream_scratch.h) — copied out at exact
-  /// size.
-  static BasicBitStream from_canonical(std::span<const Segment> segments) {
-    return from_canonical(
-        std::vector<Segment>(segments.begin(), segments.end()));
   }
 
   /// The in-place validation/normalization pass the constructor applies:
@@ -189,32 +201,29 @@ class BasicBitStream {
   }
 
   [[nodiscard]] std::span<const Segment> segments() const noexcept {
-    return segments_;
+    return {block_.get(), size_};
   }
-  [[nodiscard]] std::size_t size() const noexcept { return segments_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Rate of the stream at time t (t < 0 is treated as 0).  Segment
   /// starts are strictly increasing (class invariant), so the active
   /// segment is found by binary search — O(log m), not a linear scan.
   [[nodiscard]] Num rate_at(const Num& t) const {
-    const auto it = first_segment_after(t);
-    return it == segments_.begin() ? segments_.front().rate
-                                   : std::prev(it)->rate;
+    const std::size_t k = first_segment_after(t);
+    return block_[k == 0 ? 0 : k - 1].rate;
   }
 
   /// Rate of the final (infinite) segment.
   [[nodiscard]] Num final_rate() const noexcept {
-    return segments_.back().rate;
+    return block_[size_ - 1].rate;
   }
 
   /// Peak (initial) rate.
-  [[nodiscard]] Num peak_rate() const noexcept {
-    return segments_.front().rate;
-  }
+  [[nodiscard]] Num peak_rate() const noexcept { return block_[0].rate; }
 
   /// True iff the stream carries no traffic at all.
   [[nodiscard]] bool is_zero() const noexcept {
-    return segments_.size() == 1 && segments_.front().rate == Num(0);
+    return size_ == 1 && block_[0].rate == Num(0);
   }
 
   /// Re-verifies the class invariant on the current representation:
@@ -223,7 +232,7 @@ class BasicBitStream {
   /// this; RTCAC_INVARIANT_AUDIT call sites (stream_ops.h, switch_cac.cpp)
   /// re-check it in audit builds to catch corruption after construction.
   [[nodiscard]] bool invariants_hold() const noexcept {
-    return segments_valid(segments_);
+    return segments_valid(segments());
   }
 
   /// The same check over a raw segment list, for the span kernels'
@@ -247,8 +256,8 @@ class BasicBitStream {
   /// so a stream claiming to be canonical (from_canonical) must have none.
   [[nodiscard]] bool is_canonical_form() const noexcept {
     if (!invariants_hold()) return false;
-    for (std::size_t k = 1; k < segments_.size(); ++k) {
-      if (Traits::nearly_equal(segments_[k].rate, segments_[k - 1].rate)) {
+    for (std::size_t k = 1; k < size_; ++k) {
+      if (Traits::nearly_equal(block_[k].rate, block_[k - 1].rate)) {
         return false;
       }
     }
@@ -257,16 +266,15 @@ class BasicBitStream {
 
   /// Cumulative bits A(t) = integral of the rate over [0, t].
   /// t < 0 yields 0.  Served from the prefix areas precomputed at
-  /// construction (`cum_bits_`, accumulated left-to-right in exactly the
-  /// order the former linear scan summed), so the lookup is O(log m) and
+  /// construction (accumulated left-to-right in exactly the order the
+  /// former linear scan summed), so the lookup is O(log m) and
   /// bitwise-identical to the scan it replaced.
   [[nodiscard]] Num bits_before(const Num& t) const {
     if (t <= Num(0)) return Num(0);
     // Last segment with start < t: t > 0 and the first segment starts at
-    // 0, so the cut is never before begin().
-    const auto it = std::prev(first_segment_after(t));
-    const auto k = static_cast<std::size_t>(it - segments_.begin());
-    return cum_bits_[k] + it->rate * (t - it->start);
+    // 0, so the cut is never before the first segment.
+    const std::size_t k = first_segment_after(t) - 1;
+    return prefix_area(k) + block_[k].rate * (t - block_[k].start);
   }
 
   /// Earliest time t with A(t) >= bits; nullopt if the stream never
@@ -274,12 +282,12 @@ class BasicBitStream {
   [[nodiscard]] std::optional<Num> time_of_bits(const Num& bits) const {
     if (bits <= Num(0)) return Num(0);
     Num area{0};
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      const Num seg_start = segments_[k].start;
-      const Num rate = segments_[k].rate;
-      const bool last = (k + 1 == segments_.size());
+    for (std::size_t k = 0; k < size_; ++k) {
+      const Num seg_start = block_[k].start;
+      const Num rate = block_[k].rate;
+      const bool last = (k + 1 == size_);
       if (!last) {
-        const Num seg_len = segments_[k + 1].start - seg_start;
+        const Num seg_len = block_[k + 1].start - seg_start;
         const Num gained = rate * seg_len;
         if (area + gained >= bits) {
           return seg_start + (bits - area) / rate;  // rate > 0 here
@@ -303,7 +311,7 @@ class BasicBitStream {
   /// Total bits ever produced; nullopt when infinite (tail rate > 0).
   [[nodiscard]] std::optional<Num> total_bits() const {
     if (final_rate() > Num(0)) return std::nullopt;
-    return bits_before(segments_.back().start);
+    return bits_before(block_[size_ - 1].start);
   }
 
   /// Pointwise comparison: true iff this stream's cumulative function
@@ -312,20 +320,20 @@ class BasicBitStream {
   [[nodiscard]] bool dominates(const BasicBitStream& other) const {
     // A_this and A_other are piecewise linear and concave; comparing at
     // every breakpoint of both suffices, plus the tail slopes.
-    for (const Segment& s : segments_) {
+    for (const Segment& s : segments()) {
       if (!Traits::nearly_leq(other.bits_before(s.start),
                               bits_before(s.start))) {
         return false;
       }
     }
-    for (const Segment& s : other.segments_) {
+    for (const Segment& s : other.segments()) {
       if (!Traits::nearly_leq(other.bits_before(s.start),
                               bits_before(s.start))) {
         return false;
       }
     }
-    const Num last =
-        std::max(segments_.back().start, other.segments_.back().start);
+    const Num last = std::max(block_[size_ - 1].start,
+                              other.block_[other.size_ - 1].start);
     if (!Traits::nearly_leq(other.bits_before(last), bits_before(last))) {
       return false;
     }
@@ -334,27 +342,28 @@ class BasicBitStream {
 
   /// Structural equality up to the numeric tolerance of Num.
   [[nodiscard]] bool nearly_equal(const BasicBitStream& other) const {
-    if (segments_.size() != other.segments_.size()) return false;
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (!Traits::nearly_equal(segments_[k].rate, other.segments_[k].rate) ||
-          !Traits::nearly_equal(segments_[k].start,
-                                other.segments_[k].start)) {
+    if (size_ != other.size_) return false;
+    for (std::size_t k = 0; k < size_; ++k) {
+      if (!Traits::nearly_equal(block_[k].rate, other.block_[k].rate) ||
+          !Traits::nearly_equal(block_[k].start, other.block_[k].start)) {
         return false;
       }
     }
     return true;
   }
 
-  friend bool operator==(const BasicBitStream& a,
-                         const BasicBitStream& b) = default;
+  /// Compares contents, not blocks: equal streams built apart are equal.
+  friend bool operator==(const BasicBitStream& a, const BasicBitStream& b) {
+    return std::ranges::equal(a.segments(), b.segments());
+  }
 
   [[nodiscard]] std::string to_string() const {
     std::ostringstream os;
     os << "{";
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
+    for (std::size_t k = 0; k < size_; ++k) {
       if (k > 0) os << ", ";
-      os << "(" << as_printable(segments_[k].rate) << " @ "
-         << as_printable(segments_[k].start) << ")";
+      os << "(" << as_printable(block_[k].rate) << " @ "
+         << as_printable(block_[k].start) << ")";
     }
     os << "}";
     return os.str();
@@ -370,43 +379,69 @@ class BasicBitStream {
     return v;
   }
 
-  /// First segment whose start is strictly after t (end() if none);
-  /// std::upper_bound over the strictly-increasing segment starts.
-  [[nodiscard]] typename std::vector<Segment>::const_iterator
-  first_segment_after(const Num& t) const {
-    return std::upper_bound(
-        segments_.begin(), segments_.end(), t,
-        [](const Num& value, const Segment& s) { return value < s.start; });
+  /// Index of the first segment whose start is strictly after t (size()
+  /// if none); std::upper_bound over the strictly-increasing starts.
+  [[nodiscard]] std::size_t first_segment_after(const Num& t) const {
+    const std::span<const Segment> segs = segments();
+    return static_cast<std::size_t>(
+        std::upper_bound(segs.begin(), segs.end(), t,
+                         [](const Num& value, const Segment& s) {
+                           return value < s.start;
+                         }) -
+        segs.begin());
   }
 
-  struct CanonicalTag {};
-  BasicBitStream(CanonicalTag, std::vector<Segment> segments)
-      : segments_(std::move(segments)) {
-    rebuild_prefix_areas();
+  /// A(t(k)), the bits accumulated before segment k starts.
+  [[nodiscard]] const Num& prefix_area(std::size_t k) const noexcept {
+    return block_[size_ + k].rate;
   }
 
-  /// Prefix areas for the O(log m) bits_before: cum_bits_[k] is A(t(k)),
-  /// accumulated left-to-right exactly as the former linear scan did so
-  /// lookups reproduce its partial sums bitwise.
-  void rebuild_prefix_areas() {
-    cum_bits_.clear();
-    cum_bits_.reserve(segments_.size());
+  /// The zero stream's block (layout at block_ below): its segment
+  /// {(0, 0)} and its one prefix area 0.
+  static constexpr Segment kZeroBlock[2] = {Segment{Num(0), Num(0)},
+                                            Segment{Num(0), Num(0)}};
+
+  /// A handle on kZeroBlock that owns nothing (the aliasing constructor
+  /// over an empty owner), so copying it touches no counter.
+  [[nodiscard]] static std::shared_ptr<const Segment[]> zero_block() noexcept {
+    return std::shared_ptr<const Segment[]>(
+        std::shared_ptr<const Segment[]>(), kZeroBlock);
+  }
+
+  /// Points this handle at a new block holding `segments` (valid and
+  /// canonical — the callers' contract) and their prefix areas, or at
+  /// kZeroBlock for the zero stream.  The block is written here, before
+  /// any other handle can see it, and never again.
+  void store(std::span<const Segment> segments) {
+    const std::size_t m = segments.size();
+    if (m == 1 && segments[0].rate == Num(0) && segments[0].start == Num(0)) {
+      block_ = zero_block();
+      size_ = 1;
+      return;
+    }
+    std::shared_ptr<Segment[]> block = std::make_shared<Segment[]>(2 * m);
+    std::copy(segments.begin(), segments.end(), block.get());
     Num area{0};
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      cum_bits_.push_back(area);
-      if (k + 1 < segments_.size()) {
-        area += segments_[k].rate * (segments_[k + 1].start -
-                                     segments_[k].start);
+    for (std::size_t k = 0; k < m; ++k) {
+      block[m + k].rate = area;
+      if (k + 1 < m) {
+        area += segments[k].rate * (segments[k + 1].start - segments[k].start);
       }
     }
+    block_ = std::move(block);
+    size_ = m;
   }
 
-  std::vector<Segment> segments_;
-  /// cum_bits_[k] = bits accumulated before segment k starts (A(t(k))).
-  std::vector<Num> cum_bits_;
+  /// The shared block of a stream of m = size_ segments: elements
+  /// [0, m) are the segments, and the rate of element m + k is the prefix
+  /// area A(t(k)), accumulated left-to-right exactly as the former linear
+  /// scan did so lookups reproduce its partial sums bitwise.  One
+  /// allocation holds both, aligned for Segment and so for Num.
+  std::shared_ptr<const Segment[]> block_ = zero_block();
+  std::size_t size_ = 1;
 
-  // Lets the invariant-audit tests corrupt a constructed stream in place
-  // (the public API cannot, by design).
+  // Lets the invariant-audit tests point a stream at a corrupt block of
+  // its own (store() skips validation); other copies keep theirs.
   friend struct BitStreamTestAccess;
 };
 

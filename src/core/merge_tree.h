@@ -153,14 +153,16 @@ class BasicStreamMergeTree {
   [[nodiscard]] Stream materialized() const {
     RTCAC_REQUIRE(!any_dirty_,
                   "StreamMergeTree: materialized() with a flush pending");
-    std::vector<Segment> root(root_span().begin(), root_span().end());
+    const std::span<const Segment> root = root_span();
     if (root.empty()) return Stream{};
-    if (capacity_ == 1) {
+    if (capacity_ == 1 && budget_ != 0) {
       // Single-slot tree: the root is the raw leaf, which no internal
       // node has capped yet.
-      coalesce_conservative(root, budget_);
+      std::vector<Segment> capped(root.begin(), root.end());
+      coalesce_conservative(capped, budget_);
+      return Stream::from_canonical(capped);
     }
-    return Stream::from_canonical(std::move(root));
+    return Stream::from_canonical(root);
   }
 
   [[nodiscard]] const Stream& leaf(std::size_t slot) const {

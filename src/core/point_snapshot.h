@@ -84,7 +84,9 @@ struct BasicSwitchCheckResult {
 /// section-shared across snapshot generations: a republication after a
 /// mutation at priority r rebuilds only the sections r and below it feeds
 /// and re-links the untouched ones, so snapshot cost tracks the dirty
-/// set, not the switch size.
+/// set, not the switch size.  The streams are handles on the live
+/// caches' immutable blocks (core/bitstream.h): a rebuilt section copies
+/// handles, not segments.
 template <typename Num>
 struct BasicQueueSection {
   using Stream = BasicBitStream<Num>;

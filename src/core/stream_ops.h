@@ -406,29 +406,16 @@ BasicBitStream<Num> demultiplex(const BasicBitStream<Num>& s1,
 /// rates are non-increasing, the queue has a single busy period.
 ///
 /// If the queue never drains (tail input rate >= 1 with backlog, or > 1),
-/// the output is a permanent full-rate stream {(1, 0)}.
-///
-/// The kernel writes straight into the result's own buffer, not into
-/// scratch: `delay` (the per-hop arrival of every request) gets its
-/// result with no copy.
+/// the output is a permanent full-rate stream {(1, 0)}.  An already
+/// link-feasible input is returned as itself, sharing its block.
 template <typename Num>
 BasicBitStream<Num> filter(const BasicBitStream<Num>& s,
                            const Num& initial_backlog = Num(0)) {
-  std::vector<BasicSegment<Num>> out;
-  switch (detail::smooth_segments(s.segments(), initial_backlog, out)) {
-    case detail::FilterShape::kUnchanged:
-      return s;
-    case detail::FilterShape::kSaturated:
-      return BasicBitStream<Num>::constant(Num(1));
-    case detail::FilterShape::kSmoothed:
-      break;
-  }
-  BasicBitStream<Num> result(std::move(out));
-  RTCAC_INVARIANT_AUDIT(
-      result.invariants_hold() &&
-          NumTraits<Num>::nearly_leq(result.peak_rate(), Num(1)),
-      "filter: output must be a link-feasible (rate <= 1) stream");
-  return result;
+  typename detail::StreamScratch<Num>::Frame frame;
+  const detail::SegmentSpan<Num> out =
+      detail::filter_segments(s.segments(), initial_backlog, frame.segments());
+  if (out.data() == s.segments().data()) return s;
+  return BasicBitStream<Num>::from_canonical(out);
 }
 
 /// Shifts a stream left by `shift` time units: result rate r'(t) =

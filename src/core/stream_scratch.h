@@ -8,7 +8,7 @@
 // intermediate streams per priority level — the candidate's trial cell,
 // its filtered form, the k-way aggregates, the service curve of
 // Alg. 4.1 — and throws every one of them away once the bound is known.
-// Building each as a BitStream would cost two heap allocations apiece.
+// Building each as a BitStream would cost a heap allocation apiece.
 // The kernels instead write raw segments into buffers borrowed from
 // here, which keep their capacity from call to call, so a warmed thread
 // runs the whole check without touching the heap.
@@ -30,7 +30,8 @@
 //     kernel.  Those calls cannot nest, so one set per thread suffices.
 //     Each kernel clears what it uses on entry.
 //   * Nothing here is ever the storage of a BitStream.  A caller that
-//     keeps a kernel's result copies it out at exact size.
+//     keeps a kernel's result copies it into a new stream block
+//     (BitStream::from_canonical).
 
 #pragma once
 

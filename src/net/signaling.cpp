@@ -123,7 +123,9 @@ void SignalingEngine::deliver(const SignalingMessage& m) {
     ++counters_.lost_to_faults;  // destroyed in transit, never processed
     return;
   }
+  if (trace_.size() == kTraceWindow) trace_.pop_front();
   trace_.push_back(m);
+  ++counters_.messages_processed;
   RTCAC_DEBUG << "signaling: " << to_string(m);
   processed_message_ = true;
   switch (m.type) {

@@ -48,6 +48,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -94,7 +96,15 @@ class SignalingEngine {
     std::size_t modifies_completed = 0;  ///< descriptor swaps confirmed
     std::size_t modify_retransmits = 0;  ///< MODIFYs re-sent after a loss
     std::map<RejectCode, std::size_t> modify_rejects_by_reason;
+    /// Messages processed over the engine's lifetime; trace() keeps only
+    /// the most recent kTraceWindow of them.
+    std::size_t messages_processed = 0;
   };
+
+  /// Messages the protocol trace retains.  A server runs for months, so
+  /// the trace is a window, not a log: its memory must not grow with the
+  /// requests served.
+  static constexpr std::size_t kTraceWindow = 4096;
 
   explicit SignalingEngine(ConnectionManager& manager);
   /// `faults`, when given, must outlive the engine.
@@ -159,9 +169,10 @@ class SignalingEngine {
     return outcomes_;
   }
 
-  /// Every message processed so far, in order (protocol trace).  Messages
-  /// lost in transit never reach the trace.
-  [[nodiscard]] const std::vector<SignalingMessage>& trace() const noexcept {
+  /// The most recent kTraceWindow messages processed, oldest first
+  /// (protocol trace); Counters::messages_processed counts them all.
+  /// Messages lost in transit never reach the trace.
+  [[nodiscard]] const std::deque<SignalingMessage>& trace() const noexcept {
     return trace_;
   }
 
@@ -271,7 +282,7 @@ class SignalingEngine {
   std::map<ConnectionId, SignalingOutcome> outcomes_;
   /// Latest finished MODIFY outcome per stable connection id.
   std::map<ConnectionId, SignalingOutcome> modify_outcomes_;
-  std::vector<SignalingMessage> trace_;
+  std::deque<SignalingMessage> trace_;  ///< at most kTraceWindow, FIFO
   Counters counters_;
 };
 

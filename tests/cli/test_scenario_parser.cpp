@@ -56,6 +56,18 @@ TEST(ScenarioParser, ParsesConnections) {
   EXPECT_EQ(c2.request.priority, 1u);
 }
 
+// inf is the QosRequest default: no deadline.  Only NaN and negative
+// deadlines are refused (HostileNumbers below).
+TEST(ScenarioParser, InfiniteDeadlineMeansNone) {
+  const ScenarioFile scenario = parse_scenario(std::string(
+      "switch a\nswitch b\nlink a b\n"
+      "connect c route=a-b cbr=0.5 deadline=inf\n"
+      "connect d route=a-b cbr=0.1 deadline=0\n"));
+  ASSERT_EQ(scenario.connections.size(), 2u);
+  EXPECT_EQ(scenario.connections[0].request.deadline, QosRequest{}.deadline);
+  EXPECT_EQ(scenario.connections[1].request.deadline, 0.0);
+}
+
 TEST(ScenarioParser, RunScenarioAdmits) {
   const ScenarioFile scenario = parse_scenario(std::string(kGoodScenario));
   std::unique_ptr<ConnectionManager> manager;
@@ -184,7 +196,13 @@ INSTANTIATE_TEST_SUITE_P(
                 "mbs must be a positive integer"},
         BadCase{"huge_prio", "priorities 2\nswitch a\nswitch b\nlink a b\n"
                              "connect c route=a-b cbr=0.5 prio=1e30\n",
-                "prio must be a non-negative integer"}),
+                "prio must be a non-negative integer"},
+        BadCase{"nan_deadline", "switch a\nswitch b\nlink a b\n"
+                                "connect c route=a-b cbr=0.5 deadline=nan\n",
+                "deadline must be non-negative"},
+        BadCase{"neg_deadline", "switch a\nswitch b\nlink a b\n"
+                                "connect c route=a-b cbr=0.5 deadline=-5\n",
+                "deadline must be non-negative"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace

@@ -1,4 +1,11 @@
-// Allocation budget of the paper's per-point check (Alg. 4.1).
+// Allocation budgets of the shared stream storage and of the paper's
+// per-point check (Alg. 4.1).
+//
+// A BitStream is a handle to one shared, immutable block (core/bitstream.h):
+// copying, assigning and destroying one allocates nothing, the zero
+// stream owns no block, and a new stream costs exactly one allocation.
+// So a snapshot export copies handles: its allocation count does not grow
+// with the in-ports whose streams it re-exports.
 //
 // check_point_view runs on span kernels over per-thread scratch
 // (core/stream_scratch.h).  Once a thread's scratch has grown to the
@@ -18,7 +25,9 @@
 #include <any>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/path_eval.h"
@@ -96,18 +105,109 @@ BasicBitStream<Num> small_stream(Xorshift& rng) {
 }
 
 /// One connection per (in-port, priority) at out-port 0, a few at
-/// out-port 1: every level of out-port 0 merges kInPorts non-zero
+/// out-port 1: every level of out-port 0 merges in_ports() non-zero
 /// streams.  Sustained load stays near 0.5, so bounds are finite.
 template <typename Num>
 void populate(BasicSwitchCac<Num>& cac, Xorshift& rng) {
   ConnectionId id = 1;
-  for (std::size_t in = 0; in < kInPorts; ++in) {
+  for (std::size_t in = 0; in < cac.in_ports(); ++in) {
     for (Priority p = 0; p < kPriorities; ++p) {
       cac.add(id++, in, 0, p, small_stream<Num>(rng));
     }
     if (in % 8 == 0) cac.add(id++, in, 1, 0, small_stream<Num>(rng));
   }
   cac.prime_caches();
+}
+
+template <typename Num>
+void expect_stream_handles_allocate_nothing() {
+  using Stream = BasicBitStream<Num>;
+  Xorshift rng(3);
+  const Stream s = small_stream<Num>(rng);
+  Stream other = small_stream<Num>(rng);
+  EXPECT_EQ(allocations_during([&] {
+              Stream copy = s;
+              other = copy;  // frees the only handle on other's block
+              Stream moved = std::move(copy);
+              copy = other;
+              other = std::move(moved);
+            }),
+            0u);
+  EXPECT_EQ(other, s);
+  EXPECT_EQ(other.segments().data(), s.segments().data());
+}
+
+TEST(AllocationBudget, CopyingAssigningAndDestroyingStreamsAllocateNothing) {
+  expect_stream_handles_allocate_nothing<double>();
+  expect_stream_handles_allocate_nothing<Rational>();
+}
+
+TEST(AllocationBudget, ZeroStreamAllocatesNothing) {
+  BitStream zero = BitStream::constant(0.5);
+  ExactBitStream exact;
+  EXPECT_EQ(allocations_during([&] {
+              BitStream fresh;
+              const BitStream copy = fresh;
+              zero = copy;
+              exact = ExactBitStream{};
+            }),
+            0u);
+  EXPECT_TRUE(zero.is_zero());
+  EXPECT_TRUE(exact.is_zero());
+  // The zero result of a kernel is the same empty handle.
+  const std::vector<Segment> zero_segments{Segment{0.0, 0.0}};
+  EXPECT_EQ(allocations_during([&] {
+              (void)BitStream::from_canonical(zero_segments);
+            }),
+            0u);
+}
+
+TEST(AllocationBudget, FromCanonicalAllocatesOneBlock) {
+  const std::vector<Segment> segs{Segment{1.0, 0.0}, Segment{0.5, 4.0},
+                                  Segment{0.125, 20.0}};
+  BitStream s;
+  EXPECT_EQ(allocations_during([&] { s = BitStream::from_canonical(segs); }),
+            1u);
+  EXPECT_EQ(s.bits_before(24.0), 4.0 + 8.0 + 0.5);
+  const std::vector<ExactSegment> exact{ExactSegment{Rational(1), Rational(0)},
+                                        ExactSegment{Rational(1, 3),
+                                                     Rational(6)}};
+  ExactBitStream e;
+  EXPECT_EQ(
+      allocations_during([&] { e = ExactBitStream::from_canonical(exact); }),
+      1u);
+  EXPECT_EQ(e.bits_before(Rational(9)), Rational(7));
+}
+
+/// Allocations of one republication of out-port 0 after a commit at
+/// priority 1 dirtied it, on a primed switch with `in_ports` in-ports.
+template <typename Num>
+std::size_t stale_export_allocations(std::size_t in_ports) {
+  using Cac = BasicSwitchCac<Num>;
+  typename Cac::Config cfg;
+  cfg.in_ports = in_ports;
+  cfg.out_ports = kOutPorts;
+  cfg.priorities = kPriorities;
+  cfg.advertised_bound = Num(1 << 20);
+  Cac cac(cfg);
+  Xorshift rng(17);
+  populate(cac, rng);
+  const auto previous = cac.export_point_sections(0, nullptr, {});
+  const std::size_t stale[] = {1};
+  std::shared_ptr<const BasicPointSections<Num>> next;
+  const std::size_t n = allocations_during(
+      [&] { next = cac.export_point_sections(0, previous.get(), stale); });
+  EXPECT_EQ(next->sections[0], previous->sections[0]);  // re-linked
+  EXPECT_NE(next->sections[1], previous->sections[1]);  // rebuilt
+  EXPECT_EQ(next->sections[1]->cells.size(), in_ports);
+  return n;
+}
+
+TEST(AllocationBudget, SnapshotExportCopiesHandlesNotSegments) {
+  EXPECT_EQ(stale_export_allocations<double>(18),
+            stale_export_allocations<double>(kInPorts));
+  EXPECT_EQ(stale_export_allocations<Rational>(18),
+            stale_export_allocations<Rational>(kInPorts));
 }
 
 struct Candidate {

@@ -2,9 +2,14 @@
 // friends and verify RTCAC_INVARIANT_AUDIT catches it on the next
 // mutation.  These tests exercise the library as built, so they only run
 // when the library compiled its audits in (Debug / RTCAC_AUDIT=ON builds)
-// and responds to violations by throwing; elsewhere they skip.
+// and responds to violations by throwing; elsewhere they skip.  The one
+// exception, CorruptingOneCopyLeavesTheOthersIntact, checks the BitStream
+// hook itself and needs no audits.
 
 #include <gtest/gtest.h>
+
+#include <span>
+#include <vector>
 
 #include "core/bitstream.h"
 #include "core/stream_ops.h"
@@ -18,9 +23,13 @@ namespace rtcac {
 // Friends of the library classes (declared in their headers); defined
 // here so only the audit tests can reach internal state.
 struct BitStreamTestAccess {
+  /// Points `s` at a new block holding `segments`, unvalidated.  Streams
+  /// share immutable blocks, so this corrupts `s` alone: every other copy
+  /// keeps the block it had.
   template <typename Num>
-  static std::vector<BasicSegment<Num>>& segments(BasicBitStream<Num>& s) {
-    return s.segments_;
+  static void replace_segments(BasicBitStream<Num>& s,
+                               std::span<const BasicSegment<Num>> segments) {
+    s.store(segments);
   }
 };
 
@@ -51,16 +60,44 @@ namespace {
     }                                                                    \
   } while (false)
 
+/// `s` with a segment of *higher* rate than its last appended, behind the
+/// constructor's back.
+BitStream break_monotonicity(const BitStream& s) {
+  std::vector<Segment> segs(s.segments().begin(), s.segments().end());
+  segs.push_back(Segment{segs.back().rate + 10.0, segs.back().start + 5.0});
+  BitStream corrupted = s;
+  BitStreamTestAccess::replace_segments<double>(corrupted, segs);
+  return corrupted;
+}
+
 TEST(InvariantAudit, CorruptedBitStreamIsCaughtByTransforms) {
   RTCAC_SKIP_UNLESS_THROWING_AUDITS();
-  BitStream s = TrafficDescriptor::cbr(0.5).to_bitstream();
+  const BitStream s = TrafficDescriptor::cbr(0.5).to_bitstream();
   ASSERT_TRUE(s.invariants_hold());
-  // Break monotonicity behind the constructor's back: append a segment
-  // with a *higher* rate than its predecessor.
-  auto& segs = BitStreamTestAccess::segments(s);
-  segs.push_back(Segment{segs.back().rate + 10.0, segs.back().start + 5.0});
-  ASSERT_FALSE(s.invariants_hold());
-  EXPECT_THROW(static_cast<void>(multiplex(s, s)), ContractViolation);
+  const BitStream corrupted = break_monotonicity(s);
+  ASSERT_FALSE(corrupted.invariants_hold());
+  EXPECT_THROW(static_cast<void>(multiplex(corrupted, corrupted)),
+               ContractViolation);
+  // The stream it was copied from still passes every audit.
+  EXPECT_TRUE(s.invariants_hold());
+  EXPECT_NO_THROW(static_cast<void>(multiplex(s, s)));
+}
+
+// Copies share one immutable block; corrupting one copy (the only way to
+// reach a stream's storage) replaces its handle and leaves every other
+// copy valid.  Needs no audits, so it runs in every build.
+TEST(InvariantAudit, CorruptingOneCopyLeavesTheOthersIntact) {
+  const BitStream original =
+      TrafficDescriptor::vbr(0.8, 0.2, 12).to_bitstream();
+  const BitStream sharer = original;
+  ASSERT_EQ(sharer.segments().data(), original.segments().data());
+  const BitStream corrupted = break_monotonicity(sharer);
+  ASSERT_FALSE(corrupted.invariants_hold());
+  EXPECT_NE(corrupted.segments().data(), original.segments().data());
+  EXPECT_TRUE(original.invariants_hold());
+  EXPECT_TRUE(sharer.invariants_hold());
+  EXPECT_EQ(sharer.segments().data(), original.segments().data());
+  EXPECT_EQ(sharer, TrafficDescriptor::vbr(0.8, 0.2, 12).to_bitstream());
 }
 
 TEST(InvariantAudit, SwitchCacBandwidthConservationIsAudited) {

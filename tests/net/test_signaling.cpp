@@ -74,6 +74,40 @@ TEST(Signaling, MessageSequenceOfSuccessfulSetup) {
   EXPECT_EQ(trace[2].type, SignalingMessageType::kSetup);
   EXPECT_EQ(trace[3].type, SignalingMessageType::kConnected);
   EXPECT_FALSE(to_string(trace[0]).empty());
+  EXPECT_EQ(engine.counters().messages_processed, 4u);
+}
+
+// The protocol trace is a fixed window: driving twice the requests
+// through one engine doubles the message count but not the memory kept.
+TEST(Signaling, TraceRetentionDoesNotGrowWithRequests) {
+  Chain c;
+  ConnectionManager mgr(c.topo, c.params());
+  SignalingEngine engine(mgr);
+  // Each setup is four messages, so n requests overflow the window.
+  const std::size_t n = SignalingEngine::kTraceWindow / 2;
+  ConnectionId last = kInvalidConnection;
+  const auto drive = [&](std::size_t requests) {
+    for (std::size_t r = 0; r < requests; ++r) {
+      last = engine.initiate(cbr_request(0.25), Route{c.acc0, c.l01, c.l12});
+      engine.run();
+      ASSERT_TRUE(engine.outcome(last)->connected);
+      ASSERT_TRUE(mgr.teardown(last));
+    }
+  };
+
+  drive(n);
+  const std::size_t after_n = engine.counters().messages_processed;
+  EXPECT_EQ(after_n, 4 * n);
+  EXPECT_EQ(engine.trace().size(), SignalingEngine::kTraceWindow);
+  EXPECT_EQ(engine.trace().back().id, last);
+
+  drive(n);
+  EXPECT_EQ(engine.counters().messages_processed, 2 * after_n);
+  EXPECT_EQ(engine.trace().size(), SignalingEngine::kTraceWindow);
+  // The window holds the newest messages, oldest first.
+  EXPECT_EQ(engine.trace().back().id, last);
+  EXPECT_EQ(engine.trace().back().type, SignalingMessageType::kConnected);
+  EXPECT_EQ(engine.trace().front().type, SignalingMessageType::kSetup);
 }
 
 TEST(Signaling, RejectionReleasesUpstreamReservations) {
