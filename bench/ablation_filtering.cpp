@@ -11,13 +11,10 @@
 // Expected shape: the bit-stream scheme's bounds are tighter everywhere
 // and it admits strictly more connections.
 
+#include <cstddef>
 #include <cstdio>
-#include <vector>
 
-#include "baseline/max_rate_cac.h"
-#include "core/delay_bound.h"
-#include "net/connection_manager.h"
-#include "rtnet/rtnet.h"
+#include "ablations.h"
 
 namespace {
 
@@ -28,15 +25,9 @@ void distortion_comparison() {
       "(a) CDV distortion of one CBR(0.2) stream: bits credited by t=CDV\n");
   std::printf("%-8s %-22s %-22s\n", "CDV", "exact burst (cells)",
               "upper-bound burst (cells)");
-  const auto td = TrafficDescriptor::cbr(0.2);
-  for (const double cdv : {8.0, 32.0, 96.0, 480.0}) {
-    const BitStream exact = delay(td.to_bitstream(), cdv);
-    const auto crude = BurstyEnvelope::from_traffic(td).delayed(cdv);
-    // "Burst" = bits the model says can be present the instant the stream
-    // appears: the exact model has released at most CDV cells worth by
-    // then (rate-1 cap); the upper bound dumps the whole prefix at once.
-    std::printf("%-8.0f %-22.2f %-22.2f\n", cdv, exact.bits_before(1.0),
-                crude.bits_before(0.0) + crude.stream().rate_at(0.0));
+  for (const ablation::DistortionRow& row : ablation::a1_distortion()) {
+    std::printf("%-8.0f %-22.2f %-22.2f\n", row.cdv, row.exact_burst,
+                row.upper_bound_burst);
   }
   std::printf("\n");
 }
@@ -47,50 +38,16 @@ void capacity_comparison() {
       "    advertised bound 32 cell times per hop, hard CDV:\n\n");
   std::printf("%-34s %-10s\n", "scheme", "admitted");
 
-  const auto td = TrafficDescriptor::cbr(0.02);
-  constexpr std::size_t kOffered = 64;
-
-  // Bit-stream CAC over a real topology: every connection has its own
-  // access link into the first backbone switch.
-  Topology topo;
-  const NodeId s0 = topo.add_switch();
-  const NodeId s1 = topo.add_switch();
-  const NodeId s2 = topo.add_switch();
-  const NodeId s3 = topo.add_switch();
-  const LinkId l0 = topo.add_link(s0, s1);
-  const LinkId l1 = topo.add_link(s1, s2);
-  const LinkId l2 = topo.add_link(s2, s3);
-  std::vector<LinkId> access;
-  for (std::size_t i = 0; i < kOffered; ++i) {
-    access.push_back(topo.add_link(topo.add_terminal(), s0));
-  }
-  ConnectionManager::Params params;
-  params.advertised_bound = 32;
-  ConnectionManager exact(topo, params);
-  std::size_t exact_admitted = 0;
-  for (std::size_t i = 0; i < kOffered; ++i) {
-    QosRequest request;
-    request.traffic = td;
-    if (exact.setup(request, Route{access[i], l0, l1, l2}).accepted) {
-      ++exact_admitted;
-    }
-  }
-
-  // Max-rate baseline: same three queueing points, same advertised bound.
-  MaxRateNetworkCac crude(3, 32);
-  std::size_t crude_admitted = 0;
-  for (std::size_t i = 0; i < kOffered; ++i) {
-    if (crude.setup(td, {0, 1, 2}).accepted) ++crude_admitted;
-  }
-
+  const ablation::A1Capacity a1 = ablation::a1_capacity();
   std::printf("%-34s %zu / %zu\n", "bit-stream CAC (this paper)",
-              exact_admitted, kOffered);
+              a1.bitstream_admitted, a1.offered);
   std::printf("%-34s %zu / %zu\n", "max-rate-function CAC ([9]-style)",
-              crude_admitted, kOffered);
+              a1.max_rate_admitted, a1.offered);
   std::printf("\nadmission gain: %+zd connections (%.0f%%)\n",
-              static_cast<std::ptrdiff_t>(exact_admitted - crude_admitted),
-              100.0 * (static_cast<double>(exact_admitted) /
-                           static_cast<double>(crude_admitted) -
+              static_cast<std::ptrdiff_t>(a1.bitstream_admitted -
+                                          a1.max_rate_admitted),
+              100.0 * (static_cast<double>(a1.bitstream_admitted) /
+                           static_cast<double>(a1.max_rate_admitted) -
                        1.0));
 }
 

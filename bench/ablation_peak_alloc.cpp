@@ -10,107 +10,37 @@
 //   3. the subset the bit-stream CAC admits runs drop-free with every
 //      measured delay within its computed bound.
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <vector>
 
-#include "baseline/peak_allocation.h"
-#include "net/connection_manager.h"
-#include "sim/simulator.h"
-
-namespace {
-
-using namespace rtcac;
-
-constexpr std::size_t kTerminals = 40;
-constexpr double kQueueCells = 32;
-
-}  // namespace
+#include "ablations.h"
 
 int main() {
-  Topology topo;
-  const NodeId sw = topo.add_switch();
-  const NodeId dst = topo.add_terminal();
-  std::vector<LinkId> access;
-  for (std::size_t i = 0; i < kTerminals; ++i) {
-    access.push_back(topo.add_link(topo.add_terminal(), sw));
-  }
-  const LinkId out = topo.add_link(sw, dst);
-  const auto td = TrafficDescriptor::cbr(1.0 / kTerminals);
-
-  PeakAllocationCac peak(topo);
-  ConnectionManager::Params params;
-  params.advertised_bound = kQueueCells;
-  ConnectionManager exact(topo, params);
-
-  std::size_t peak_admitted = 0;
-  std::vector<ConnectionId> exact_ids;
-  for (std::size_t i = 0; i < kTerminals; ++i) {
-    if (peak.setup(td, {access[i], out}).accepted) ++peak_admitted;
-    QosRequest request;
-    request.traffic = td;
-    const auto result = exact.setup(request, Route{access[i], out});
-    if (result.accepted) exact_ids.push_back(result.id);
-  }
+  const rtcac::ablation::A2Result a2 = rtcac::ablation::a2_peak_allocation();
 
   std::printf(
       "Ablation A2: peak bandwidth allocation vs bit-stream CAC\n"
       "%zu CBR connections of PCR = 1/%zu through one switch with a "
       "%.0f-cell FIFO\n\n",
-      kTerminals, kTerminals, kQueueCells);
-  std::printf("admitted by peak allocation : %zu / %zu\n", peak_admitted,
-              kTerminals);
+      a2.offered, a2.offered, a2.queue_cells);
+  std::printf("admitted by peak allocation : %zu / %zu\n", a2.peak_admitted,
+              a2.offered);
   std::printf("admitted by bit-stream CAC  : %zu / %zu\n\n",
-              exact_ids.size(), kTerminals);
+              a2.bitstream_admitted, a2.offered);
 
-  // Simulate both sets with a FIFO of kQueueCells waiting slots plus the
-  // output register: a slotted store-and-forward switch needs K+1
-  // physical slots to realize a fluid backlog bound of K, because a cell
-  // only leaves the queue when its own transmission slot starts.
-  const std::size_t kPhysicalSlots =
-      static_cast<std::size_t>(kQueueCells) + 1;
+  std::printf("peak-allocated set, simulated worst case:\n");
+  std::printf("  cells dropped       : %llu\n",
+              static_cast<unsigned long long>(a2.peak.cells_dropped));
+  std::printf("  max queueing delay  : %.0f cell times (queue sized for "
+              "%.0f)\n\n",
+              a2.peak.worst_delay, a2.queue_cells);
 
-  // Peak-allocated set, phase-aligned worst case.
-  {
-    SimNetwork sim(topo, SimNetwork::Options{1, kPhysicalSlots});
-    for (std::size_t i = 0; i < kTerminals; ++i) {
-      sim.install(100 + i, Route{access[i], out}, 0,
-                  std::make_unique<GreedySourceScheduler>(td));
-    }
-    sim.run_until(20000);
-    double worst = 0;
-    for (std::size_t i = 0; i < kTerminals; ++i) {
-      worst = std::max(worst, sim.sink(100 + i).queue_delay().max());
-    }
-    std::printf("peak-allocated set, simulated worst case:\n");
-    std::printf("  cells dropped       : %llu\n",
-                static_cast<unsigned long long>(sim.total_drops()));
-    std::printf("  max queueing delay  : %.0f cell times (queue sized for "
-                "%.0f)\n\n",
-                worst, kQueueCells);
-  }
-
-  // The bit-stream-admitted subset.
-  {
-    SimNetwork sim(topo, SimNetwork::Options{1, kPhysicalSlots});
-    for (std::size_t i = 0; i < exact_ids.size(); ++i) {
-      sim.install(exact_ids[i], Route{access[i], out}, 0,
-                  std::make_unique<GreedySourceScheduler>(td));
-    }
-    sim.run_until(20000);
-    double worst = 0;
-    double bound = 0;
-    for (const ConnectionId id : exact_ids) {
-      worst = std::max(worst, sim.sink(id).queue_delay().max());
-      bound = std::max(bound, exact.current_e2e_bound(id).value());
-    }
-    std::printf("bit-stream-admitted subset, simulated worst case:\n");
-    std::printf("  cells dropped       : %llu\n",
-                static_cast<unsigned long long>(sim.total_drops()));
-    std::printf("  max queueing delay  : %.0f cell times\n", worst);
-    std::printf("  analytic bound      : %.2f cell times (holds: %s)\n",
-                bound, worst <= bound ? "yes" : "NO");
-  }
+  std::printf("bit-stream-admitted subset, simulated worst case:\n");
+  std::printf("  cells dropped       : %llu\n",
+              static_cast<unsigned long long>(a2.bitstream.cells_dropped));
+  std::printf("  max queueing delay  : %.0f cell times\n",
+              a2.bitstream.worst_delay);
+  std::printf("  analytic bound      : %.2f cell times (holds: %s)\n",
+              a2.bitstream_bound,
+              a2.bitstream.worst_delay <= a2.bitstream_bound ? "yes" : "NO");
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 
 namespace rtcac {
@@ -173,8 +174,14 @@ ScenarioFile parse_scenario(std::istream& in) {
 
       bool have_route = false;
       bool have_traffic = false;
+      std::set<std::string> seen_options;
       for (std::size_t k = 2; k < tokens.size(); ++k) {
         const auto [key, value] = key_value(tokens[k]);
+        // A repeated option (or cbr= with vbr=) would silently overwrite
+        // the first one, or for route= extend it.
+        if (!seen_options.insert(key == "vbr" ? "cbr" : key).second) {
+          fail(line_no, "duplicate connect option " + key);
+        }
         if (key == "route") {
           const auto hops = split(value, '-');
           if (hops.size() < 2) fail(line_no, "route needs >= 2 nodes");

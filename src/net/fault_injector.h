@@ -35,6 +35,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -160,6 +161,13 @@ class FaultInjector {
 
   [[nodiscard]] const FaultCounters& counters() const noexcept {
     return counters_;
+  }
+
+  /// The longest extra transit verdict() can give one copy of a message:
+  /// a delay, a reorder jitter or a duplicate's lag.  A message copy is
+  /// delivered or lost within its base transit plus this.
+  [[nodiscard]] Tick max_extra_transit() const noexcept {
+    return std::max(profile_.max_delay, profile_.max_jitter);
   }
 
  private:

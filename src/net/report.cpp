@@ -85,11 +85,9 @@ std::string SignalingReport::to_string() const {
 
 SignalingReport summarize_signaling(const SignalingEngine& engine) {
   SignalingReport report;
-  report.attempts = engine.outcomes().size();
-  for (const auto& entry : engine.outcomes()) {
-    if (entry.second.connected) ++report.connected;
-  }
   const SignalingEngine::Counters& c = engine.counters();
+  report.attempts = c.setups_finished;
+  report.connected = c.setups_connected;
   report.retransmits = c.retransmits;
   report.timeouts = c.timeouts;
   report.stale_dropped = c.stale_dropped;
@@ -143,9 +141,7 @@ RerouteReport summarize_reroute(const RerouteCoordinator& coordinator) {
       rescued == 0 ? 0.0
                    : static_cast<double>(s.total_rescue_latency) /
                          static_cast<double>(rescued);
-  for (const DegradationEntry& entry : coordinator.degradation().entries) {
-    ++report.degraded_by_reason[entry.reason.code];
-  }
+  report.degraded_by_reason = s.degraded_by_reason;
   return report;
 }
 

@@ -130,6 +130,13 @@ void RerouteCoordinator::attempt_reroute(
     std::map<ConnectionId, Episode>::iterator it, Tick now) {
   const ConnectionId id = it->first;
   Episode& episode = it->second;
+  const auto journal = [&](RerouteDecision::Outcome outcome, Route route,
+                           RejectReason reason) {
+    if (decisions_.size() == kDecisionWindow) decisions_.pop_front();
+    decisions_.push_back(
+        {now, id, outcome, std::move(route), std::move(reason)});
+    ++stats_.decisions;
+  };
 
   const auto& records = manager_.connections();
   const auto record = records.find(id);
@@ -143,8 +150,8 @@ void RerouteCoordinator::attempt_reroute(
   // before the next attempt came due): the reservations were never
   // released, so the connection simply keeps them.
   if (!route_broken(record->second.route)) {
-    decisions_.push_back({now, id, RerouteDecision::Outcome::kKeptOriginal,
-                          record->second.route, {}});
+    journal(RerouteDecision::Outcome::kKeptOriginal, record->second.route,
+            {});
     ++stats_.kept_original;
     const Tick latency = now - episode.failed_at;
     stats_.max_rescue_latency = std::max(stats_.max_rescue_latency, latency);
@@ -176,8 +183,7 @@ void RerouteCoordinator::attempt_reroute(
         labels_->release(id);
         labels_->establish(id, *alternate);
       }
-      decisions_.push_back(
-          {now, id, RerouteDecision::Outcome::kRehomed, *alternate, {}});
+      journal(RerouteDecision::Outcome::kRehomed, *alternate, {});
       ++stats_.rehomed;
       const Tick latency = now - episode.failed_at;
       stats_.max_rescue_latency = std::max(stats_.max_rescue_latency, latency);
@@ -195,10 +201,13 @@ void RerouteCoordinator::attempt_reroute(
     // the teardown counts as kFailure, and the report keeps it from
     // disappearing silently.
     RTCAC_DEBUG << "degrading connection " << id << ": " << reason.detail;
-    decisions_.push_back(
-        {now, id, RerouteDecision::Outcome::kDegraded, {}, reason});
+    journal(RerouteDecision::Outcome::kDegraded, {}, reason);
+    if (degraded_.entries.size() == kDegradedWindow) {
+      degraded_.entries.pop_front();
+    }
     degraded_.entries.push_back({id, episode.priority, reason,
                                  episode.attempts, episode.failed_at, now});
+    ++stats_.degraded_by_reason[reason.code];
     if (labels_ != nullptr && labels_->contains(id)) labels_->release(id);
     manager_.teardown(id, TeardownReason::kFailure);
     ++stats_.degraded;
@@ -212,8 +221,7 @@ void RerouteCoordinator::attempt_reroute(
     backoff *= params_.backoff_multiplier;
   }
   episode.due = now + backoff;
-  decisions_.push_back(
-      {now, id, RerouteDecision::Outcome::kRetryScheduled, {}, reason});
+  journal(RerouteDecision::Outcome::kRetryScheduled, {}, std::move(reason));
 }
 
 bool RerouteCoordinator::route_broken(const Route& route) const {

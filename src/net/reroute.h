@@ -33,7 +33,10 @@
 //     dropped silently.
 //
 // Every decision is journalled (decisions()) so soak tests can replay a
-// seeded failure storm twice and require bit-identical outcomes.
+// seeded failure storm twice and require bit-identical outcomes.  The
+// journal and the degradation report keep only their newest entries
+// (kDecisionWindow, kDegradedWindow), so the coordinator's memory does
+// not grow with the failures it has handled; Stats keeps the totals.
 //
 // Time is driven explicitly: advance_to(now) interleaves scheduled fault
 // boundaries (FaultInjector::next_scheduled_change) with due retries in
@@ -44,6 +47,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -69,9 +73,10 @@ struct DegradationEntry {
   Tick gave_up_at = 0;       ///< when the budget ran out
 };
 
-/// Connections that could not be rehomed, and why.
+/// Connections that could not be rehomed, and why: the newest
+/// RerouteCoordinator::kDegradedWindow of them, oldest first.
 struct DegradationReport {
-  std::vector<DegradationEntry> entries;
+  std::deque<DegradationEntry> entries;
 
   [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
   [[nodiscard]] std::string to_string() const;
@@ -121,7 +126,16 @@ class RerouteCoordinator {
     /// connections, for the bounded-latency soak assertions.
     Tick max_rescue_latency = 0;
     Tick total_rescue_latency = 0;
+    std::size_t decisions = 0;  ///< decisions journalled, evicted included
+    /// Final-attempt rejection codes of every degraded connection.
+    std::map<RejectCode, std::size_t> degraded_by_reason;
   };
+
+  /// Journal entries and degradation entries the coordinator retains.  A
+  /// decision stays readable until this many later decisions have been
+  /// journalled (likewise for degradations).
+  static constexpr std::size_t kDecisionWindow = 4096;
+  static constexpr std::size_t kDegradedWindow = 4096;
 
   /// Subscribes to `faults` for the lifetime of the coordinator.  The
   /// label manager is optional; when given, a successful rehome rebinds
@@ -159,7 +173,9 @@ class RerouteCoordinator {
   [[nodiscard]] const DegradationReport& degradation() const noexcept {
     return degraded_;
   }
-  [[nodiscard]] const std::vector<RerouteDecision>& decisions() const noexcept {
+  /// The newest kDecisionWindow decisions, oldest first; Stats::decisions
+  /// counts them all.
+  [[nodiscard]] const std::deque<RerouteDecision>& decisions() const noexcept {
     return decisions_;
   }
   [[nodiscard]] const std::set<NodeId>& down_nodes() const noexcept {
@@ -204,7 +220,7 @@ class RerouteCoordinator {
   std::set<LinkId> down_links_;
   std::map<ConnectionId, Episode> pending_;
   DegradationReport degraded_;
-  std::vector<RerouteDecision> decisions_;
+  std::deque<RerouteDecision> decisions_;  ///< at most kDecisionWindow
   Stats stats_;
 };
 

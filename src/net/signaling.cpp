@@ -337,7 +337,9 @@ void SignalingEngine::process_connected(const SignalingMessage& m) {
   }
   manager_.adopt(m.id, ConnectionManager::ConnectionRecord{
                            flight.request, flight.route, flight.hops});
-  outcomes_.emplace(m.id, std::move(outcome));
+  ++counters_.setups_finished;
+  ++counters_.setups_connected;
+  outcomes_.insert_or_assign(m.id, std::move(outcome));
   in_flight_.erase(it);
 }
 
@@ -347,7 +349,7 @@ void SignalingEngine::process_release(const SignalingMessage& m) {
     ++counters_.stale_dropped;
     return;
   }
-  const std::vector<HopRef>& hops = it->second;
+  const std::vector<HopRef>& hops = it->second.hops;
   if (m.hop_index < hops.size()) {
     const HopRef& hop = hops[m.hop_index];
     // The lease may have beaten us to it; remove() tolerates that.
@@ -369,17 +371,53 @@ void SignalingEngine::process_release(const SignalingMessage& m) {
   releasing_.erase(it);
 }
 
+Tick SignalingEngine::release_horizon(std::size_t hops) const noexcept {
+  // A walk sends one message per hop (one even over no hops), each after
+  // its predecessor arrived, so the k-th message arrives at most k
+  // per-hop transits after the walk started.  Duplicates forward within
+  // the same bound.
+  const Tick per_hop = timers_.hop_latency +
+                       (faults_ != nullptr ? faults_->max_extra_transit() : 0);
+  return per_hop * static_cast<Tick>(std::max<std::size_t>(hops, 1));
+}
+
+void SignalingEngine::arm_release_timer(ConnectionId id,
+                                        const ReleaseWalk& walk) {
+  // A timer fires after every message arriving at its tick (EventPhase),
+  // so a walk whose last message lands exactly at retire_at completes.
+  events_.schedule(walk.retire_at, EventPhase::kTimer,
+                   [this, id, retire_at = walk.retire_at] {
+                     on_release_timer(id, retire_at);
+                   });
+}
+
+void SignalingEngine::on_release_timer(ConnectionId id, Tick retire_at) {
+  const auto it = releasing_.find(id);
+  if (it == releasing_.end() || it->second.retire_at != retire_at) {
+    return;  // the walk completed, or a later walk of the id replaced it
+  }
+  // A message of the walk was lost, and no other can still arrive.  Only
+  // the bookkeeping goes: reservations the walk did not reach stay until
+  // their lease or a central teardown returns them.
+  ++counters_.releases_retired;
+  releasing_.erase(it);
+}
+
 void SignalingEngine::process_failure(ConnectionId id, InFlight& flight,
                                       SignalingOutcome outcome,
                                       RejectCode category) {
   ++counters_.rejects_by_reason[category];
+  ++counters_.setups_finished;
   const bool residue =
       std::any_of(flight.hop_states.begin(), flight.hop_states.end(),
                   [](const HopState& hs) { return hs.committed; });
   if (residue && !releasing_.contains(id)) {
     // Tear down whatever part of the route is still committed.  If the
     // RELEASE walk is itself lost, the hop leases are the backstop.
-    releasing_.emplace(id, flight.hops);
+    const auto walk = releasing_.emplace(
+        id, ReleaseWalk{flight.hops,
+                        now() + release_horizon(flight.hops.size())});
+    arm_release_timer(id, walk.first->second);
     ++counters_.releases_sent;
     SignalingMessage release;
     release.type = SignalingMessageType::kRelease;
@@ -390,7 +428,7 @@ void SignalingEngine::process_failure(ConnectionId id, InFlight& flight,
     if (!flight.route.empty()) release.via = flight.route.front();
     send(std::move(release), timers_.hop_latency);
   }
-  outcomes_.emplace(id, std::move(outcome));
+  outcomes_.insert_or_assign(id, std::move(outcome));
   in_flight_.erase(id);
 }
 
@@ -679,7 +717,11 @@ void SignalingEngine::process_modify_failure(ConnectionId id,
     // provisional id; the old descriptor's reservations are untouched.
     // If the walk is itself lost, the provisional leases are the
     // backstop — either way no connection ends with mixed descriptors.
-    releasing_.emplace(flight.provisional, flight.hops);
+    const auto walk = releasing_.emplace(
+        flight.provisional,
+        ReleaseWalk{flight.hops,
+                    now() + release_horizon(flight.hops.size())});
+    arm_release_timer(flight.provisional, walk.first->second);
     ++counters_.releases_sent;
     SignalingMessage release;
     release.type = SignalingMessageType::kRelease;
@@ -723,16 +765,19 @@ void SignalingEngine::on_modify_timer(ConnectionId id, std::uint32_t attempt) {
 
 std::optional<SignalingOutcome> SignalingEngine::modify_outcome(
     ConnectionId id) const {
-  const auto it = modify_outcomes_.find(id);
-  if (it == modify_outcomes_.end()) return std::nullopt;
-  return it->second;
+  const SignalingOutcome* found = modify_outcomes_.find(id);
+  if (found == nullptr) return std::nullopt;
+  return *found;
 }
 
 bool SignalingEngine::release(ConnectionId id) {
   const auto& connections = manager_.connections();
   const auto it = connections.find(id);
   if (it == connections.end() || releasing_.contains(id)) return false;
-  releasing_.emplace(id, it->second.hops);
+  const auto walk = releasing_.emplace(
+      id, ReleaseWalk{it->second.hops,
+                      now() + release_horizon(it->second.hops.size())});
+  arm_release_timer(id, walk.first->second);
   ++counters_.releases_sent;
   SignalingMessage release;
   release.type = SignalingMessageType::kRelease;
@@ -748,9 +793,9 @@ bool SignalingEngine::release(ConnectionId id) {
 
 std::optional<SignalingOutcome> SignalingEngine::outcome(
     ConnectionId id) const {
-  const auto it = outcomes_.find(id);
-  if (it == outcomes_.end()) return std::nullopt;
-  return it->second;
+  const SignalingOutcome* found = outcomes_.find(id);
+  if (found == nullptr) return std::nullopt;
+  return *found;
 }
 
 }  // namespace rtcac

@@ -30,6 +30,11 @@
 //     whatever was committed; reservations a lost RELEASE leaves behind
 //     die with their leases (ConnectionManager::reclaim).
 //
+// Memory follows the requests in flight, not the requests served: the
+// protocol trace and the SETUP/MODIFY outcome ledgers are fixed windows
+// of the newest entries, and a RELEASE walk's bookkeeping retires once
+// no message of the walk can still arrive (release_horizon()).
+//
 // In-place renegotiation (MODIFY/MODIFY-REJECT/MODIFIED) reuses the same
 // machinery over an established connection's route: MODIFY commits the
 // *new* descriptor hop by hop under a fresh provisional id while the old
@@ -59,6 +64,7 @@
 #include "net/fault_injector.h"
 #include "net/signaling_message.h"
 #include "sim/event_queue.h"
+#include "util/recent_map.h"
 
 namespace rtcac {
 
@@ -99,12 +105,31 @@ class SignalingEngine {
     /// Messages processed over the engine's lifetime; trace() keeps only
     /// the most recent kTraceWindow of them.
     std::size_t messages_processed = 0;
+    /// SETUP attempts with a final outcome, and those that connected,
+    /// over the engine's lifetime; outcomes() keeps only the newest.
+    std::size_t setups_finished = 0;
+    std::size_t setups_connected = 0;
+    /// RELEASE walks whose bookkeeping retired unfinished: a message of
+    /// the walk was lost, and its horizon passed (release_horizon()).
+    std::size_t releases_retired = 0;
   };
 
   /// Messages the protocol trace retains.  A server runs for months, so
   /// the trace is a window, not a log: its memory must not grow with the
   /// requests served.
   static constexpr std::size_t kTraceWindow = 4096;
+
+  /// Finished SETUP and MODIFY outcomes the engine retains.  An outcome
+  /// stays readable until this many later requests of its kind have
+  /// finished, so a client that reads each outcome within a window's
+  /// worth of completions never misses one.
+  static constexpr std::size_t kOutcomeWindow = 4096;
+  static constexpr std::size_t kModifyOutcomeWindow = 4096;
+
+  using OutcomeWindow =
+      RecentMap<ConnectionId, SignalingOutcome, kOutcomeWindow>;
+  using ModifyOutcomeWindow =
+      RecentMap<ConnectionId, SignalingOutcome, kModifyOutcomeWindow>;
 
   explicit SignalingEngine(ConnectionManager& manager);
   /// `faults`, when given, must outlive the engine.
@@ -135,6 +160,8 @@ class SignalingEngine {
   /// (adopted) connection hop by hop on the virtual clock; the manager
   /// records the completed teardown with TeardownReason::kRelease.
   /// Returns false for an unknown id or a release already in progress.
+  /// A walk lost to a fault stops being in progress once its horizon
+  /// has passed, so the release can then be retried.
   bool release(ConnectionId id);
 
   /// Queues a MODIFY walk renegotiating established connection `id` to
@@ -149,25 +176,37 @@ class SignalingEngine {
   bool modify(ConnectionId id, const QosRequest& new_request);
 
   /// Outcome of the most recent finished MODIFY of `id` (connected ==
-  /// swap confirmed); nullopt while in flight or never modified.
+  /// swap confirmed); nullopt while in flight, never modified, or once
+  /// kModifyOutcomeWindow later MODIFYs have finished.
   [[nodiscard]] std::optional<SignalingOutcome> modify_outcome(
       ConnectionId id) const;
 
-  /// Latest finished MODIFY outcome per connection id.
-  [[nodiscard]] const std::map<ConnectionId, SignalingOutcome>&
-  modify_outcomes() const noexcept {
+  /// The newest finished MODIFY outcomes, by connection id.
+  [[nodiscard]] const ModifyOutcomeWindow& modify_outcomes() const noexcept {
     return modify_outcomes_;
   }
 
-  /// Outcome of a finished attempt; nullopt while still in flight.
+  /// Outcome of a finished attempt; nullopt while still in flight, or
+  /// once kOutcomeWindow later attempts have finished.
   [[nodiscard]] std::optional<SignalingOutcome> outcome(
       ConnectionId id) const;
 
-  /// All finished attempts so far, by connection id.
-  [[nodiscard]] const std::map<ConnectionId, SignalingOutcome>& outcomes()
-      const noexcept {
+  /// The newest finished attempts, by connection id; Counters holds the
+  /// lifetime totals.
+  [[nodiscard]] const OutcomeWindow& outcomes() const noexcept {
     return outcomes_;
   }
+
+  /// RELEASE walks whose bookkeeping is still held: walks in transit,
+  /// and lost walks whose horizon has not yet passed.
+  [[nodiscard]] std::size_t releases_in_flight() const noexcept {
+    return releasing_.size();
+  }
+
+  /// Ticks after which no message of a RELEASE walk over `hops` hops can
+  /// still arrive: every hop costs at most the hop latency plus the
+  /// longest extra transit the fault layer gives one message copy.
+  [[nodiscard]] Tick release_horizon(std::size_t hops) const noexcept;
 
   /// The most recent kTraceWindow messages processed, oldest first
   /// (protocol trace); Counters::messages_processed counts them all.
@@ -217,6 +256,13 @@ class SignalingEngine {
     NodeId destination = 0;
   };
 
+  /// A RELEASE walk in progress: its hops, and the tick by which every
+  /// message of the walk has been delivered or lost.
+  struct ReleaseWalk {
+    std::vector<HopRef> hops;
+    Tick retire_at = 0;
+  };
+
   /// One in-flight MODIFY of an established connection, keyed by the
   /// connection's *stable* id.  The new descriptor's reservations ride
   /// under `provisional` until MODIFIED confirms the full path; the
@@ -245,6 +291,10 @@ class SignalingEngine {
   void process_reject(const SignalingMessage& m);
   void process_connected(const SignalingMessage& m);
   void process_release(const SignalingMessage& m);
+  /// Retires the RELEASE walk of `id` that was due to end by
+  /// `retire_at`, unless it completed or a later walk replaced it.
+  void on_release_timer(ConnectionId id, Tick retire_at);
+  void arm_release_timer(ConnectionId id, const ReleaseWalk& walk);
   /// Finalizes a failed attempt: records the outcome, counts the reject
   /// category, and starts a RELEASE sweep over any committed residue.
   void process_failure(ConnectionId id, InFlight& flight,
@@ -275,13 +325,14 @@ class SignalingEngine {
   std::map<ConnectionId, InFlight> in_flight_;
   /// In-flight MODIFYs by stable connection id (at most one each).
   std::map<ConnectionId, ModifyFlight> modifying_;
-  /// Routes of teardowns in progress: RELEASE walks outlive their
-  /// (already finalized) in-flight record.  MODIFY rollbacks enter here
-  /// keyed by their *provisional* id.
-  std::map<ConnectionId, std::vector<HopRef>> releasing_;
-  std::map<ConnectionId, SignalingOutcome> outcomes_;
+  /// Teardowns in progress: RELEASE walks outlive their (already
+  /// finalized) in-flight record.  MODIFY rollbacks enter here keyed by
+  /// their *provisional* id.  An entry leaves when its walk completes or,
+  /// if the walk was lost, at its retire_at.
+  std::map<ConnectionId, ReleaseWalk> releasing_;
+  OutcomeWindow outcomes_;
   /// Latest finished MODIFY outcome per stable connection id.
-  std::map<ConnectionId, SignalingOutcome> modify_outcomes_;
+  ModifyOutcomeWindow modify_outcomes_;
   std::deque<SignalingMessage> trace_;  ///< at most kTraceWindow, FIFO
   Counters counters_;
 };

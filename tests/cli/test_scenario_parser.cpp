@@ -1,8 +1,18 @@
-// Unit tests for the scenario-file parser and runner.
+// Unit tests for the scenario-file parser and runner, and a seeded
+// mutation corpus that feeds it hostile variants of valid scenarios.
 
 #include "cli/scenario_parser.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <fstream>
+#include <iterator>
+#include <regex>
+#include <sstream>
+#include <typeinfo>
+
+#include "util/xorshift.h"
 
 namespace rtcac {
 namespace {
@@ -28,6 +38,18 @@ guarantee computed
 connect c1 route=tA-sw0-sw1-tZ cbr=0.2 deadline=50
 connect c2 route=tB-sw0-sw1-tZ vbr=0.5,0.1,8 deadline=60 prio=1
 )";
+
+constexpr const char* kDeadlineScenario =
+    "switch a\nswitch b\nlink a b\n"
+    "connect c route=a-b cbr=0.5 deadline=inf\n"
+    "connect d route=a-b cbr=0.1 deadline=0\n";
+
+constexpr const char* kCommentedScenario =
+    "# full-line comment\n\nswitch s0   # trailing comment\n";
+
+constexpr const char* kMinimalScenario =
+    "switch s0\nswitch s1\nlink s0 s1\n"
+    "connect c route=s0-s1 cbr=0.5\n";
 
 TEST(ScenarioParser, ParsesTopologyAndConfig) {
   const ScenarioFile scenario = parse_scenario(std::string(kGoodScenario));
@@ -59,10 +81,8 @@ TEST(ScenarioParser, ParsesConnections) {
 // inf is the QosRequest default: no deadline.  Only NaN and negative
 // deadlines are refused (HostileNumbers below).
 TEST(ScenarioParser, InfiniteDeadlineMeansNone) {
-  const ScenarioFile scenario = parse_scenario(std::string(
-      "switch a\nswitch b\nlink a b\n"
-      "connect c route=a-b cbr=0.5 deadline=inf\n"
-      "connect d route=a-b cbr=0.1 deadline=0\n"));
+  const ScenarioFile scenario =
+      parse_scenario(std::string(kDeadlineScenario));
   ASSERT_EQ(scenario.connections.size(), 2u);
   EXPECT_EQ(scenario.connections[0].request.deadline, QosRequest{}.deadline);
   EXPECT_EQ(scenario.connections[1].request.deadline, 0.0);
@@ -89,15 +109,12 @@ TEST(ScenarioParser, RunScenarioReportsRejection) {
 }
 
 TEST(ScenarioParser, CommentsAndBlankLinesIgnored) {
-  const auto scenario = parse_scenario(std::string(
-      "# full-line comment\n\nswitch s0   # trailing comment\n"));
+  const auto scenario = parse_scenario(std::string(kCommentedScenario));
   EXPECT_EQ(scenario.topology.node_count(), 1u);
 }
 
 TEST(ScenarioParser, DefaultsWhenConfigOmitted) {
-  const auto scenario =
-      parse_scenario(std::string("switch s0\nswitch s1\nlink s0 s1\n"
-                                 "connect c route=s0-s1 cbr=0.5\n"));
+  const auto scenario = parse_scenario(std::string(kMinimalScenario));
   EXPECT_EQ(scenario.params.priorities, 1u);
   // Omitted deadline means "no deadline".
   EXPECT_TRUE(std::isinf(scenario.connections[0].request.deadline));
@@ -167,7 +184,13 @@ INSTANTIATE_TEST_SUITE_P(
         BadCase{"short_route", "switch a\nswitch b\nlink a b\n"
                                "connect c route=a cbr=0.5\n",
                 ">= 2 nodes"},
-        BadCase{"line_number", "switch a\n\nbogus\n", "line 3"}),
+        BadCase{"line_number", "switch a\n\nbogus\n", "line 3"},
+        BadCase{"dup_route", "switch a\nswitch b\nlink a b\n"
+                             "connect c route=a-b route=a-b cbr=0.5\n",
+                "duplicate connect option route"},
+        BadCase{"cbr_and_vbr", "switch a\nswitch b\nlink a b\n"
+                               "connect c route=a-b cbr=0.5 vbr=0.5,0.1,4\n",
+                "duplicate connect option vbr"}),
     [](const auto& info) { return std::string(info.param.label); });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -204,6 +227,180 @@ INSTANTIATE_TEST_SUITE_P(
                                 "connect c route=a-b cbr=0.5 deadline=-5\n",
                 "deadline must be non-negative"}),
     [](const auto& info) { return std::string(info.param.label); });
+
+// --- seeded mutation corpus -------------------------------------------------
+//
+// Each mutant of a valid scenario must either parse or throw a
+// ScenarioParseError that names its line, and a mutant that parses must
+// also run (rtcac_admit runs what it parsed); any other exception fails
+// the test, and a crash or sanitizer report fails the run.  The
+// generator is in-tree and seeded, so a failing mutant replays from its
+// seed.
+
+enum class Mutation {
+  kHostileNumber,  ///< a numeric run becomes nan, inf, -1, 1e308, 2^64
+  kDropToken,
+  kDuplicateToken,
+  kTruncateLine,
+  kSwapKeyword,  ///< a line keyword or connect option key becomes another
+  kCount,
+};
+constexpr auto kMutationKinds = static_cast<std::size_t>(Mutation::kCount);
+
+constexpr std::array<const char*, 5> kHostileNumbers = {
+    "nan", "inf", "-1", "1e308", "18446744073709551616"};
+constexpr std::array<const char*, 8> kKeywords = {
+    "switch", "terminal", "link", "priorities",
+    "queue",  "cdv",      "guarantee", "connect"};
+constexpr std::array<const char*, 5> kOptionKeys = {"route", "cbr", "vbr",
+                                                    "deadline", "prio"};
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> split_tokens(const std::string& line) {
+  std::istringstream in(line);
+  return {std::istream_iterator<std::string>(in),
+          std::istream_iterator<std::string>()};
+}
+
+std::string join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += sep;
+    out += parts[i];
+  }
+  return out;
+}
+
+class ScenarioMutator {
+ public:
+  explicit ScenarioMutator(std::uint64_t seed) : rng_(seed) {}
+
+  /// One to three mutations of `text`; counts each kind applied.
+  std::string mutate(const std::string& text) {
+    std::vector<std::string> lines = split_lines(text);
+    for (std::size_t n = 1 + rng_.below(3); n > 0 && !lines.empty(); --n) {
+      std::string& line = lines[rng_.below(lines.size())];
+      const auto kind =
+          static_cast<Mutation>(rng_.below(kMutationKinds));
+      if (apply(kind, line)) ++applied_[static_cast<std::size_t>(kind)];
+    }
+    return join(lines, "\n") + "\n";
+  }
+
+  [[nodiscard]] std::size_t applied(Mutation kind) const {
+    return applied_[static_cast<std::size_t>(kind)];
+  }
+
+ private:
+  template <typename Pool>
+  const char* pick(const Pool& pool) {
+    return pool[rng_.below(pool.size())];
+  }
+
+  bool apply(Mutation kind, std::string& line) {
+    std::vector<std::string> tokens = split_tokens(line);
+    if (tokens.empty()) return false;
+    const std::size_t t = rng_.below(tokens.size());
+    switch (kind) {
+      case Mutation::kHostileNumber: {
+        static const std::regex number(R"([0-9]+(\.[0-9]+)?)");
+        std::vector<std::smatch> runs(
+            std::sregex_iterator(tokens[t].begin(), tokens[t].end(), number),
+            std::sregex_iterator());
+        if (runs.empty()) return false;
+        const std::smatch& run = runs[rng_.below(runs.size())];
+        tokens[t].replace(static_cast<std::size_t>(run.position()),
+                          static_cast<std::size_t>(run.length()),
+                          pick(kHostileNumbers));
+        break;
+      }
+      case Mutation::kDropToken:
+        tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(t));
+        break;
+      case Mutation::kDuplicateToken:
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(t),
+                      tokens[t]);
+        break;
+      case Mutation::kTruncateLine:
+        line.resize(rng_.below(line.size()));
+        return true;
+      case Mutation::kSwapKeyword: {
+        const std::size_t eq = tokens[t].find('=');
+        if (t == 0) {
+          tokens[0] = pick(kKeywords);
+        } else if (eq != std::string::npos) {
+          tokens[t] = pick(kOptionKeys) + tokens[t].substr(eq);
+        } else {
+          return false;
+        }
+        break;
+      }
+      case Mutation::kCount:
+        return false;
+    }
+    line = join(tokens, " ");
+    return true;
+  }
+
+  Xorshift rng_;
+  std::array<std::size_t, kMutationKinds> applied_{};
+};
+
+std::string read_file(const char* path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ScenarioMutations, EveryMutantRunsOrNamesItsLine) {
+  const std::string example = read_file(RTCAC_EXAMPLE_SCENARIO);
+  ASSERT_FALSE(example.empty()) << "cannot read " << RTCAC_EXAMPLE_SCENARIO;
+  const std::vector<std::string> bases = {
+      example, kGoodScenario, kDeadlineScenario, kCommentedScenario,
+      kMinimalScenario};
+  const std::regex names_line(R"(^scenario line [0-9]+: )");
+  constexpr std::size_t kMutantsPerSeed = 200;
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34}) {
+    ScenarioMutator mutator(seed);
+    for (std::size_t b = 0; b < bases.size(); ++b) {
+      for (std::size_t m = 0; m < kMutantsPerSeed; ++m) {
+        const std::string mutant = mutator.mutate(bases[b]);
+        try {
+          const ScenarioFile scenario = parse_scenario(mutant);
+          ++parsed;
+          (void)run_scenario(scenario);
+        } catch (const ScenarioParseError& e) {
+          ++rejected;
+          EXPECT_TRUE(std::regex_search(e.what(), names_line))
+              << "seed " << seed << ", base " << b << ": '" << e.what()
+              << "' names no line for\n"
+              << mutant;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "seed " << seed << ", base " << b
+                        << ": escaped as " << typeid(e).name() << " '"
+                        << e.what() << "' for\n"
+                        << mutant;
+        }
+      }
+    }
+    for (std::size_t k = 0; k < kMutationKinds; ++k) {
+      EXPECT_GT(mutator.applied(static_cast<Mutation>(k)), 0u)
+          << "seed " << seed << " never applied mutation " << k;
+    }
+  }
+  // Both outcomes occur, so neither branch is vacuous.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
+}
 
 }  // namespace
 }  // namespace rtcac

@@ -203,10 +203,16 @@ void soak_one_seed(std::uint64_t seed, SoakTotals* totals) {
 
   // The connected outcomes are exactly the adopted set.
   std::size_t connected = 0;
-  for (const auto& entry : engine.outcomes()) {
-    if (entry.second.connected) ++connected;
+  for (const ConnectionId id : ids) {
+    const auto outcome = engine.outcome(id);
+    if (outcome.has_value() && outcome->connected) ++connected;
   }
   EXPECT_EQ(connected, mgr.connection_count());
+  EXPECT_EQ(engine.counters().setups_connected, connected);
+
+  // Lost RELEASE walks retired: the engine holds no teardown bookkeeping
+  // once no message is left in transit.
+  EXPECT_EQ(engine.releases_in_flight(), 0u);
 
   // The health report aggregates coherently.
   const SignalingReport report = summarize_signaling(engine);

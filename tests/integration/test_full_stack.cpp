@@ -110,34 +110,5 @@ TEST(FullStack, SignaledLabeledPolicedFramesKeepEveryGuarantee) {
   EXPECT_TRUE(summarize(manager).queues.empty());
 }
 
-TEST(FullStack, AblationNumbersPinned) {
-  // Regression pins for the EXPERIMENTS.md ablation headlines.
-  // A1: 3-hop backbone, CBR(0.02), advertised 32 -> 33 admitted.
-  Topology topo;
-  const NodeId s0 = topo.add_switch();
-  const NodeId s1 = topo.add_switch();
-  const NodeId s2 = topo.add_switch();
-  const NodeId s3 = topo.add_switch();
-  const LinkId l0 = topo.add_link(s0, s1);
-  const LinkId l1 = topo.add_link(s1, s2);
-  const LinkId l2 = topo.add_link(s2, s3);
-  std::vector<LinkId> access;
-  for (int i = 0; i < 64; ++i) {
-    access.push_back(topo.add_link(topo.add_terminal(), s0));
-  }
-  ConnectionManager::Params params;
-  params.advertised_bound = 32;
-  ConnectionManager manager(topo, params);
-  std::size_t admitted = 0;
-  for (int i = 0; i < 64; ++i) {
-    QosRequest request;
-    request.traffic = TrafficDescriptor::cbr(0.02);
-    if (manager.setup(request, Route{access[i], l0, l1, l2}).accepted) {
-      ++admitted;
-    }
-  }
-  EXPECT_EQ(admitted, 33u);
-}
-
 }  // namespace
 }  // namespace rtcac

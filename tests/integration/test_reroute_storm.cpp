@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <limits>
 #include <set>
 #include <vector>
@@ -69,7 +70,7 @@ struct StormNet {
 };
 
 struct StormRun {
-  std::vector<RerouteDecision> decisions;
+  std::deque<RerouteDecision> decisions;
   RerouteCoordinator::Stats stats;
   std::size_t admitted = 0;
   std::size_t survivors = 0;
@@ -191,6 +192,10 @@ StormRun storm_one_seed(std::uint64_t seed) {
   }
   EXPECT_EQ(by_reason, s.degraded);
 
+  // The journal is a window: the storm must fit in it, or the replay
+  // comparison below would miss the evicted decisions.
+  EXPECT_EQ(coordinator.decisions().size(), s.decisions);
+  EXPECT_LE(s.decisions, RerouteCoordinator::kDecisionWindow);
   run.decisions = coordinator.decisions();
   run.stats = s;
   run.survivors = mgr.connection_count();

@@ -20,6 +20,11 @@ void RerouteCoordinator::journal(const RerouteDecision& decision) {
   degraded_.entries.push_back({});  // expect: reroute-state
 }
 
+void RerouteCoordinator::trim() {
+  decisions_.pop_front();  // expect: reroute-state
+  degraded_.entries.pop_front();  // expect: reroute-state
+}
+
 void RerouteCoordinator::bump() {
   ++stats_.episodes;  // expect: reroute-state
   stats_.max_rescue_latency = 0;  // expect: reroute-state

@@ -15,6 +15,7 @@ void RerouteCoordinator::on_component_event(const ComponentEvent& event) {
 
 void RerouteCoordinator::attempt_due(Tick now) {
   pending_.erase(pending_.begin());
+  if (!decisions_.empty()) decisions_.pop_front();
   decisions_.push_back({now, 0, RerouteDecision::Outcome::kDegraded, {}, {}});
   degraded_.entries.push_back({});
   stats_.total_rescue_latency += now;

@@ -154,5 +154,43 @@ TEST(SignalingReport, AggregatesEngineAndManagerCounters) {
   EXPECT_NE(text.find("torn down (release): 1"), std::string::npos);
 }
 
+// The report's totals come from the engine's lifetime counters, not from
+// its outcome window, so they count every attempt however many finished.
+TEST(SignalingReport, TotalsCountAttemptsBeyondTheOutcomeWindow) {
+  Bed bed;
+  ConnectionManager manager(bed.topo, {});
+  SignalingEngine engine(manager);
+  const Route route{bed.a0, bed.mid, bed.out};
+  const std::size_t n = SignalingEngine::kOutcomeWindow + 16;
+  // A held 0.6 connection from the other terminal makes every 0.5
+  // request overload the shared links.
+  QosRequest held;
+  held.traffic = TrafficDescriptor::cbr(0.6);
+  const ConnectionId held_id =
+      engine.initiate(held, Route{bed.a1, bed.mid, bed.out});
+  engine.run();
+  ASSERT_TRUE(engine.outcome(held_id)->connected);
+  std::size_t connected = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    QosRequest request;
+    request.traffic = TrafficDescriptor::cbr(i % 4 == 0 ? 0.5 : 0.25);
+    const ConnectionId id = engine.initiate(request, route);
+    engine.run();
+    if (engine.outcome(id)->connected) {
+      ++connected;
+      ASSERT_TRUE(manager.teardown(id));
+    }
+  }
+  ASSERT_LT(connected, n);
+  EXPECT_EQ(engine.outcomes().size(), SignalingEngine::kOutcomeWindow);
+  EXPECT_FALSE(engine.outcome(held_id).has_value());  // evicted
+
+  const SignalingReport report = summarize_signaling(engine);
+  EXPECT_EQ(report.attempts, n);
+  EXPECT_EQ(report.connected, connected);
+  EXPECT_EQ(report.attempts, engine.counters().setups_finished);
+  EXPECT_EQ(report.connected, engine.counters().setups_connected);
+}
+
 }  // namespace
 }  // namespace rtcac

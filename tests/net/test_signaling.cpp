@@ -110,6 +110,75 @@ TEST(Signaling, TraceRetentionDoesNotGrowWithRequests) {
   EXPECT_EQ(engine.trace().front().type, SignalingMessageType::kSetup);
 }
 
+// The outcome ledgers are windows and lost RELEASE walks retire, so
+// driving twice the requests through one engine doubles the lifetime
+// totals but not the state kept.
+TEST(Signaling, LedgersDoNotGrowWithRequests) {
+  Chain c;
+  ConnectionManager mgr(c.topo, c.params());
+  const std::size_t n = SignalingEngine::kOutcomeWindow;
+  // A completed walk over the route's two hops sends two RELEASEs and a
+  // lost one only its first, so dropping every third RELEASE loses every
+  // other walk at its first hop.
+  FaultInjector faults(1);
+  for (std::size_t k = 1; k <= 3 * n; k += 3) {
+    faults.drop_nth(SignalingMessageType::kRelease, k);
+  }
+  SignalingEngine engine(mgr, SignalingEngine::Timers{}, &faults);
+  const Route route{c.acc0, c.l01, c.l12};
+  ConnectionId first = kInvalidConnection;
+  ConnectionId last = kInvalidConnection;
+  const auto drive = [&](std::size_t requests) {
+    for (std::size_t r = 0; r < requests; ++r) {
+      last = engine.initiate(cbr_request(0.25), route);
+      if (first == kInvalidConnection) first = last;
+      engine.run();
+      ASSERT_TRUE(engine.outcome(last)->connected);
+      ASSERT_TRUE(engine.modify(last, cbr_request(0.3)));
+      engine.run();
+      ASSERT_TRUE(engine.modify_outcome(last)->connected);
+      ASSERT_TRUE(engine.release(last));
+      engine.run();
+      // A lost walk leaves the connection listed; the central teardown
+      // returns its reservations.
+      if (mgr.connections().contains(last)) {
+        ASSERT_TRUE(mgr.teardown(last));
+      }
+    }
+  };
+
+  drive(n);
+  const SignalingEngine::Counters after_n = engine.counters();
+  EXPECT_EQ(after_n.setups_finished, n);
+  EXPECT_EQ(after_n.setups_connected, n);
+  EXPECT_EQ(after_n.modifies_completed, n);
+  EXPECT_EQ(after_n.releases_sent, n);
+  EXPECT_EQ(after_n.releases_retired, n / 2);
+  EXPECT_EQ(mgr.teardowns(TeardownReason::kRelease), n / 2);
+  EXPECT_EQ(engine.outcomes().size(), SignalingEngine::kOutcomeWindow);
+  EXPECT_EQ(engine.modify_outcomes().size(),
+            SignalingEngine::kModifyOutcomeWindow);
+  EXPECT_EQ(engine.releases_in_flight(), 0u);
+
+  drive(n);
+  const SignalingEngine::Counters& after_2n = engine.counters();
+  EXPECT_EQ(after_2n.setups_finished, 2 * after_n.setups_finished);
+  EXPECT_EQ(after_2n.setups_connected, 2 * after_n.setups_connected);
+  EXPECT_EQ(after_2n.modifies_completed, 2 * after_n.modifies_completed);
+  EXPECT_EQ(after_2n.releases_sent, 2 * after_n.releases_sent);
+  EXPECT_EQ(after_2n.releases_retired, 2 * after_n.releases_retired);
+  EXPECT_EQ(engine.outcomes().size(), SignalingEngine::kOutcomeWindow);
+  EXPECT_EQ(engine.modify_outcomes().size(),
+            SignalingEngine::kModifyOutcomeWindow);
+  EXPECT_EQ(engine.releases_in_flight(), 0u);
+  // The windows hold the newest outcomes; the oldest are gone.
+  EXPECT_TRUE(engine.outcome(last).has_value());
+  EXPECT_TRUE(engine.modify_outcome(last).has_value());
+  EXPECT_FALSE(engine.outcome(first).has_value());
+  EXPECT_FALSE(engine.modify_outcome(first).has_value());
+  EXPECT_EQ(mgr.connection_count(), 0u);
+}
+
 TEST(Signaling, RejectionReleasesUpstreamReservations) {
   Chain c;
   ConnectionManager mgr(c.topo, c.params());

@@ -235,6 +235,82 @@ TEST(SignalingFaults, ReleaseTearsDownEstablishedConnection) {
   expect_no_reservations(mgr, c);
 }
 
+TEST(SignalingFaults, LostReleaseRetiresAndCanBeRetried) {
+  Chain c;
+  ConnectionManager mgr(c.topo, c.params());
+  FaultInjector faults(1);
+  faults.drop_nth(SignalingMessageType::kRelease, 2);  // the walk's 2nd hop
+  SignalingEngine engine(mgr, SignalingEngine::Timers{}, &faults);
+  const ConnectionId id =
+      engine.initiate(cbr_request(0.5), Route{c.acc0, c.l01, c.l12});
+  engine.run();
+  ASSERT_TRUE(engine.outcome(id)->connected);
+
+  const Tick started = engine.now();
+  ASSERT_TRUE(engine.release(id));
+  EXPECT_FALSE(engine.release(id));  // in progress
+  EXPECT_FALSE(engine.modify(id, cbr_request(0.25)));
+  EXPECT_EQ(engine.releases_in_flight(), 1u);
+  engine.run();
+
+  // The walk freed sw0 and died on its way to sw1.  Its bookkeeping
+  // retired at the horizon; the connection is still listed.
+  EXPECT_EQ(engine.now(), started + engine.release_horizon(2));
+  EXPECT_EQ(engine.counters().released_hops, 1u);
+  EXPECT_EQ(engine.counters().releases_retired, 1u);
+  EXPECT_EQ(engine.releases_in_flight(), 0u);
+  EXPECT_TRUE(mgr.connections().contains(id));
+  EXPECT_TRUE(mgr.switch_cac(c.sw1).contains(id));
+
+  // The retry walks the route again and completes the teardown.
+  EXPECT_TRUE(engine.release(id));
+  engine.run();
+  EXPECT_EQ(mgr.connection_count(), 0u);
+  EXPECT_EQ(mgr.teardowns(TeardownReason::kRelease), 1u);
+  EXPECT_EQ(engine.counters().released_hops, 2u);
+  EXPECT_EQ(engine.counters().releases_sent, 2u);
+  EXPECT_EQ(engine.counters().releases_retired, 1u);
+  EXPECT_EQ(engine.releases_in_flight(), 0u);
+  EXPECT_FALSE(engine.release(id));  // gone
+  expect_no_reservations(mgr, c);
+}
+
+// Retirement must never cut a delivered walk short: a RELEASE that every
+// hop delays by the fault layer's maximum lands exactly on its horizon,
+// and still completes.
+TEST(SignalingFaults, MaximallyDelayedReleaseStillCompletes) {
+  Chain c;
+  ConnectionManager mgr(c.topo, c.params());
+  FaultProfile profile;
+  profile.delay_probability = 1.0;  // every message...
+  profile.max_delay = 1;            // ...delayed by exactly the maximum
+  profile.max_jitter = 1;
+  FaultInjector faults(1, profile);
+  SignalingEngine::Timers timers;
+  timers.hop_latency = 2;
+  SignalingEngine engine(mgr, timers, &faults);
+  const ConnectionId id =
+      engine.initiate(cbr_request(0.5), Route{c.acc0, c.l01, c.l12});
+  engine.run();
+  ASSERT_TRUE(engine.outcome(id)->connected);
+
+  const Tick started = engine.now();
+  ASSERT_TRUE(engine.release(id));
+  Tick last_release = 0;
+  while (engine.step()) {
+    if (engine.trace().back().type == SignalingMessageType::kRelease) {
+      last_release = engine.now();
+    }
+  }
+  EXPECT_EQ(engine.release_horizon(2), 2 * (timers.hop_latency + 1));
+  EXPECT_EQ(last_release, started + engine.release_horizon(2));
+  EXPECT_EQ(engine.counters().releases_retired, 0u);
+  EXPECT_EQ(engine.counters().released_hops, 2u);
+  EXPECT_EQ(mgr.teardowns(TeardownReason::kRelease), 1u);
+  EXPECT_EQ(mgr.connection_count(), 0u);
+  expect_no_reservations(mgr, c);
+}
+
 TEST(SignalingFaults, ValidationFailuresBurnNoIdAndLeaveNoResidue) {
   Chain c;
   ConnectionManager mgr(c.topo, c.params());

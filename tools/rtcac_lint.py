@@ -175,14 +175,15 @@ SIGNALING_HANDLER_PREFIXES = ("process_", "on_", "initiate", "release",
 # reroute-state: which RerouteCoordinator member we are inside, which
 # members form the survivability-layer state, and what mutating them
 # looks like (container mutators on the sets/queues/journal — including
-# through the degraded_.entries vector — and any write to a stats_
-# counter).
+# through the degraded_.entries deque and the front-end evictions that
+# keep both windows bounded — and any write to a stats_ counter).
 REROUTE_FUNC_RE = re.compile(r"\bRerouteCoordinator::(\w+)\s*\(")
 REROUTE_MUTATION_RE = re.compile(
     r"\b(?:pending_|decisions_|down_nodes_|down_links_|degraded_)\s*"
     r"(?:\.\s*\w+)*?\s*"
-    r"(?:\.\s*(?:emplace|emplace_back|push_back|pop_back|insert|erase|"
-    r"clear|extract|merge|swap|resize|assign)\s*\(|\[)"
+    r"(?:\.\s*(?:emplace|emplace_back|emplace_front|push_back|push_front|"
+    r"pop_back|pop_front|insert|erase|clear|extract|merge|swap|resize|"
+    r"assign)\s*\(|\[)"
     r"|(?:\+\+|--)\s*stats_\s*\."
     r"|\bstats_\s*\.\s*\w+\s*(?:\+\+|--|\+=|-=|=[^=])"
 )
