@@ -41,6 +41,67 @@ void BM_Multiplex(benchmark::State& state) {
 }
 BENCHMARK(BM_Multiplex)->Range(4, 256)->Complexity(benchmark::oN);
 
+// One in-port's cell after its in-link: 10 to 23 VBR connections,
+// multiplexed and filtered.
+BitStream filtered_vbr_cell(Xorshift& rng) {
+  BitStream cell;
+  const std::uint64_t connections = 10 + rng.below(14);
+  for (std::uint64_t c = 0; c < connections; ++c) {
+    const double pcr = 0.02 + 0.08 * rng.uniform();
+    const double scr = pcr * (0.1 + 0.5 * rng.uniform());
+    const auto mbs = static_cast<std::uint32_t>(1 + rng.below(64));
+    cell = multiplex(cell, TrafficDescriptor::vbr(pcr, scr, mbs).to_bitstream());
+  }
+  return filter(cell);
+}
+
+// The k-way merge as the per-point check runs it: the span kernel
+// (detail::multiplex_all_segments) writing into a reused scratch buffer.
+// Inputs are k = 2..8 filtered cells of 12 to 25 segments each, the long
+// end of what the admission path merges: on cacbench's `churn` (seed 5)
+// 40% of the merges take 2 non-zero inputs and the rest 4.1 on average,
+// of 6 to 8 segments on average, and 19% of the inputs have 12 to 25.
+// Successive iterations merge different sets of cells, as successive
+// checks do: on one repeated set the branch predictor learns the merge
+// order, which no real check sees.
+void BM_MultiplexAll(benchmark::State& state) {
+  constexpr std::size_t kSets = 64;
+  Xorshift rng(6);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<BitStream>> cells(kSets);
+  std::vector<std::vector<detail::SegmentSpan<double>>> sets(kSets);
+  std::size_t segments = 0;
+  for (std::size_t set = 0; set < kSets; ++set) {
+    // About 60% of the cells drawn have 12 to 25 segments.
+    for (int draw = 0; draw < 1000 && cells[set].size() < k; ++draw) {
+      BitStream cell = filtered_vbr_cell(rng);
+      if (cell.size() >= 12 && cell.size() <= 25) {
+        segments += cell.size();
+        cells[set].push_back(std::move(cell));
+      }
+    }
+    if (cells[set].size() < k) {
+      state.SkipWithError("no 12-to-25-segment input in 1000 draws");
+      return;
+    }
+    for (const BitStream& cell : cells[set]) {
+      sets[set].push_back(cell.segments());
+    }
+  }
+  detail::StreamScratch<double>::Frame frame;
+  std::vector<Segment>& out = frame.segments();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        detail::multiplex_all_segments<double>(sets[next], out).data());
+    benchmark::ClobberMemory();
+    next = (next + 1) % kSets;
+  }
+  state.counters["in_segments"] =
+      static_cast<double>(segments) / static_cast<double>(kSets);
+}
+BENCHMARK(BM_MultiplexAll)->DenseRange(2, 8);
+
 void BM_Filter(benchmark::State& state) {
   Xorshift rng(2);
   BitStream aggregate;

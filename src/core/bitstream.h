@@ -148,7 +148,7 @@ class BasicBitStream {
 
   /// Builds a stream from segments that are already canonical (validated,
   /// non-increasing, no coalescable adjacents) — the span kernels
-  /// (core/stream_ops.h) and the merge tree (core/merge_tree.h) produce
+  /// (core/stream_ops.h) and the merge tree (core/merge_tree.h) emit
   /// exactly such output, typically in per-thread scratch
   /// (core/stream_scratch.h), so re-running the full canonicalize pass per
   /// aggregate materialization would be pure overhead.  Copies the
@@ -165,10 +165,10 @@ class BasicBitStream {
 
   /// The in-place validation/normalization pass the constructor applies:
   /// snaps rounding noise, enforces the step-wise non-increasing
-  /// invariant and coalesces (nearly) equal adjacent rates.  Exposed so
-  /// stream composition that assembles segment buffers outside a
-  /// BitStream (core/merge_tree.h) shares the one canonical definition
-  /// instead of re-implementing it.
+  /// invariant and coalesces (nearly) equal adjacent rates.  The kernels
+  /// of core/stream_ops.h apply the same rules per segment as they emit
+  /// (detail::CanonicalWriter below) and never run this pass; the tests
+  /// use it as their reference.
   static void canonicalize_segments(std::vector<Segment>& segments) {
     RTCAC_REQUIRE(!segments.empty(), "BitStream: needs at least one segment");
     RTCAC_REQUIRE(segments.front().start == Num(0),
@@ -255,9 +255,16 @@ class BasicBitStream {
   /// adjacent segments with (nearly) equal rates survive canonicalization,
   /// so a stream claiming to be canonical (from_canonical) must have none.
   [[nodiscard]] bool is_canonical_form() const noexcept {
-    if (!invariants_hold()) return false;
-    for (std::size_t k = 1; k < size_; ++k) {
-      if (Traits::nearly_equal(block_[k].rate, block_[k - 1].rate)) {
+    return segments_canonical(segments());
+  }
+
+  /// The same check over a raw segment list, for the audits of the
+  /// kernels that emit canonical segments (core/stream_ops.h).
+  [[nodiscard]] static bool segments_canonical(
+      std::span<const Segment> segments) noexcept {
+    if (!segments_valid(segments)) return false;
+    for (std::size_t k = 1; k < segments.size(); ++k) {
+      if (Traits::nearly_equal(segments[k].rate, segments[k - 1].rate)) {
         return false;
       }
     }
@@ -454,6 +461,51 @@ template <typename Num>
     std::span<const BasicSegment<Num>> segments) noexcept {
   return segments.size() == 1 && segments.front().rate == Num(0);
 }
+
+/// Appends the segments of a stream, produced in time order from t = 0,
+/// in canonical form as they come: each gets canonicalize_segments' three
+/// rules on arrival — rounding noise below zero snaps to 0, a rate above
+/// its predecessor's (within tolerance) snaps down to it, and a rate
+/// (nearly) equal to the last kept segment's coalesces into it.  So the
+/// kernels of core/stream_ops.h emit canonical output in the one pass that
+/// computes it, bitwise what canonicalize_segments makes of the same raw
+/// list (tests/core/test_multiplex_all.cpp).  Only the rules run here:
+/// the kernels' starts are strictly increasing by construction, and the
+/// constructor keeps validating arbitrary input.
+template <typename Num>
+class CanonicalWriter {
+ public:
+  using Segment = BasicSegment<Num>;
+  using Traits = NumTraits<Num>;
+
+  /// Appends to `out`, which must be empty.
+  explicit CanonicalWriter(std::vector<Segment>& out) : out_(out) {}
+
+  void push(Num rate, const Num& start) {
+    const bool first = out_.empty();
+    if (rate < Num(0) || (!first && rate > previous_)) rate = snapped(rate);
+    previous_ = rate;
+    if (!first && Traits::nearly_equal(rate, out_.back().rate)) return;
+    out_.push_back(Segment{rate, start});
+  }
+
+ private:
+  /// The first two rules, for a rate they change: kept out of push() so
+  /// the common case stays small enough to inline.
+  Num snapped(Num rate) const {
+    rate = Traits::snap_nonnegative(rate);
+    RTCAC_REQUIRE(!(rate < Num(0)), "BitStream: negative rate");
+    if (!out_.empty() && rate > previous_) {
+      RTCAC_REQUIRE(Traits::nearly_leq(rate, previous_),
+                    "BitStream: rates must be non-increasing");
+      rate = previous_;
+    }
+    return rate;
+  }
+
+  std::vector<Segment>& out_;
+  Num previous_{};  ///< the last pushed rate after its snaps, kept or not
+};
 
 }  // namespace detail
 

@@ -38,7 +38,10 @@
 //
 // Both return nullopt when the bound is infinite, i.e. tail arrivals
 // outpace tail service — an admission controller must reject such a
-// configuration.
+// configuration.  That test compares exactly in both scalar types: with
+// the double engine's tolerance, a sustained load of 1 + 2^-k counted as
+// stable for k >= 30 and was admitted with a finite bound, although its
+// queue grows without limit (tests/core/test_exact_switch_cac.cpp).
 
 #pragma once
 
@@ -177,12 +180,10 @@ std::optional<Num> delay_bound_segments(
   StreamScratch<Num>& scratch = StreamScratch<Num>::local();
   const ServiceCurve<Num> g(s1_filtered, scratch.service_curve);
 
-  // Unbounded iff arrivals outpace service forever.
-  const bool tail_stable =
-      NumTraits<Num>::kExact
-          ? (segs.back().rate <= g.tail_capacity())
-          : NumTraits<Num>::nearly_leq(segs.back().rate, g.tail_capacity());
-  if (!tail_stable) return std::nullopt;
+  // Unbounded iff arrivals outpace service forever.  Exact for both
+  // scalars: a tolerance here would call a queue growing by 1e-9 per cell
+  // time stable and admit it (see the header comment).
+  if (!(segs.back().rate <= g.tail_capacity())) return std::nullopt;
 
   const auto gp = g.points();
 
@@ -295,12 +296,8 @@ std::optional<Num> delay_bound_reference(
   std::vector<detail::ServicePoint<Num>> curve;
   const detail::ServiceCurve<Num> g(s1_filtered.segments(), curve);
 
-  // Unbounded iff arrivals outpace service forever.
-  const bool tail_stable =
-      NumTraits<Num>::kExact
-          ? (s.final_rate() <= g.tail_capacity())
-          : NumTraits<Num>::nearly_leq(s.final_rate(), g.tail_capacity());
-  if (!tail_stable) return std::nullopt;
+  // Unbounded iff arrivals outpace service forever (exact, as above).
+  if (!(s.final_rate() <= g.tail_capacity())) return std::nullopt;
 
   // Candidate maximizers: breakpoints of S, plus the (earliest) arrival
   // times whose cumulative demand matches the service level at a
@@ -333,11 +330,7 @@ std::optional<Num> max_backlog(const BasicBitStream<Num>& s,
   std::vector<detail::ServicePoint<Num>> curve;
   const detail::ServiceCurve<Num> g(s1_filtered.segments(), curve);
 
-  const bool tail_stable =
-      NumTraits<Num>::kExact
-          ? (s.final_rate() <= g.tail_capacity())
-          : NumTraits<Num>::nearly_leq(s.final_rate(), g.tail_capacity());
-  if (!tail_stable) return std::nullopt;
+  if (!(s.final_rate() <= g.tail_capacity())) return std::nullopt;
 
   // A - G is piecewise linear with breakpoints at the union of both
   // breakpoint sets; its maximum is attained at one of them (the tail

@@ -33,8 +33,9 @@
 // equals the fold of the leaves up to floating-point association; for
 // exact scalars (Rational) and for doubles whose rate sums are exact
 // (dyadic rates — what the property tests and benches use) it equals the
-// fold bitwise, because every pairwise sum goes through the same
-// detail::multiplex_union / canonicalize_segments pipeline the fold uses.
+// fold bitwise, because every pairwise sum goes through the k-way kernel
+// detail::multiplex_union_canonical, whose sums and canonical rules are
+// the fold's.
 //
 // The tree is a plain value type (copyable, no pointers into the arena
 // or out of the structure); it owns the leaf streams.
@@ -149,12 +150,15 @@ class BasicStreamMergeTree {
 
   /// The root aggregate without flushing — valid only when no re-merge
   /// is pending (i.e. after aggregate() ran for the latest mutation).
-  /// Lets const audits re-derive what aggregate() returned.
+  /// Lets const audits re-derive what aggregate() returned.  In exact
+  /// mode a lone live leaf is the aggregate: its handle is shared, not
+  /// copied into a new block.
   [[nodiscard]] Stream materialized() const {
     RTCAC_REQUIRE(!any_dirty_,
                   "StreamMergeTree: materialized() with a flush pending");
     const std::span<const Segment> root = root_span();
     if (root.empty()) return Stream{};
+    if (live_count_ == 1 && budget_ == 0) return leaves_[lone_live_slot()];
     if (capacity_ == 1 && budget_ != 0) {
       // Single-slot tree: the root is the raw leaf, which no internal
       // node has capped yet.
@@ -237,6 +241,14 @@ class BasicStreamMergeTree {
     return capacity_ == 1 ? child_span(1) : std::span<const Segment>(nodes_[1]);
   }
 
+  /// The slot of the only live leaf (requires live_count_ == 1): the root
+  /// path is the one whose subtrees are non-empty.  O(log n).
+  [[nodiscard]] std::size_t lone_live_slot() const {
+    std::size_t i = 1;
+    while (i < capacity_) i = child_span(2 * i).empty() ? 2 * i + 1 : 2 * i;
+    return i - capacity_;
+  }
+
   void mark_path_dirty(std::size_t slot) {
     any_dirty_ = true;
     for (std::size_t i = (capacity_ + slot) / 2; i >= 1; i /= 2) {
@@ -254,8 +266,8 @@ class BasicStreamMergeTree {
       const auto& only = left.empty() ? right : left;
       out.assign(only.begin(), only.end());
     } else {
-      detail::multiplex_union(left, right, out);
-      Stream::canonicalize_segments(out);
+      const detail::SegmentSpan<Num> children[] = {left, right};
+      detail::multiplex_union_canonical<Num>(children, out);
     }
     coalesce_conservative(out, budget_);
   }

@@ -19,7 +19,6 @@
 //   hp_cell(i, q)      filter(mux_{r<q} S_ia(i,j,r))
 //   offered(q)         S_oa(j,q)     = mux_i S_if(i,j,q)
 //   hp_filtered(q)     S_of(j,q)
-//   bound(q)           D'(j,q) over the committed set
 //   advertised(q)      Dmax(j,q)
 //
 // check_point_view() composes the candidate's trial aggregates from those
@@ -28,6 +27,15 @@
 // input is consumed as-is), so a snapshot whose sections equal the live
 // caches yields a bitwise-identical CheckResult — the property the
 // version-stamp protocol in concurrent_cac.h relies on.
+//
+// The check computes only the levels that gate its verdict, the window
+// [priority, priorities): a candidate cannot change the bound of a level
+// above its own, so those levels are neither computed nor read, and
+// their CheckResult::bounds entries stay nullopt.
+// BasicSwitchCac::check_from_scratch skips the same levels, so the two
+// still return the same window.  The committed-set bound D'(j,q) lives
+// on as SwitchCac::computed_bound (filled by prime_caches), not in the
+// view.
 //
 // The check runs on the span kernels of core/stream_ops.h and
 // core/delay_bound.h over per-thread scratch (core/stream_scratch.h):
@@ -70,11 +78,13 @@ struct BasicSwitchCheckResult {
   /// Computed worst-case queueing delay D'(j,p) at the connection's own
   /// priority, including the candidate connection (cell times).
   std::optional<Num> bound_at_priority;
-  /// Computed bounds D'(j,q) for every priority q at the outgoing port,
-  /// including the candidate (index = priority).  Entries at q < the
-  /// candidate's priority are informational only (they never gate the
-  /// verdict) and, on the optimistic snapshot path, may reflect an older
-  /// epoch than the verdict-relevant window [priority, priorities).
+  /// Computed bounds D'(j,q) with the candidate included, indexed by
+  /// priority q, for the levels that gate the verdict: q from the
+  /// candidate's priority up to the first rejecting level (or the lowest
+  /// priority, when admitted).  Every other entry is nullopt — the levels
+  /// above the candidate's priority, which it cannot affect, are not
+  /// computed, and none after a rejection.  A nullopt inside that window
+  /// means "unbounded".
   std::vector<std::optional<Num>> bounds;
   /// Human-readable rejection reason; empty when admitted.
   std::string reason;
@@ -95,7 +105,6 @@ struct BasicQueueSection {
   std::vector<Stream> hp_cells;  ///< higher-priority union per in-port
   Stream offered;                ///< S_oa
   Stream hp_filtered;            ///< S_of
-  std::optional<Num> bound;      ///< D' over the committed set
   Num advertised = Num(0);       ///< Dmax
 };
 
@@ -128,9 +137,6 @@ struct BasicPointSections {
     }
     [[nodiscard]] const BasicBitStream<Num>& hp_filtered(Priority q) const {
       return owner_.sections[q]->hp_filtered;
-    }
-    [[nodiscard]] const std::optional<Num>& bound(Priority q) const {
-      return owner_.sections[q]->bound;
     }
     [[nodiscard]] Num advertised(Priority q) const {
       return owner_.sections[q]->advertised;
@@ -166,8 +172,8 @@ template <typename Num>
 /// The paper's CAC check for one candidate at one out-port, over any
 /// View (live caches or immutable sections).  Steps 1-4 for the
 /// candidate's own priority, Step 5 for every lower level; levels above
-/// the candidate cannot be affected and keep their previously verified
-/// bounds.
+/// the candidate cannot be affected, keep their previously verified
+/// bounds, and are skipped (see the header comment).
 template <typename Num, typename View>
 [[nodiscard]] BasicSwitchCheckResult<Num> check_point_view(
     const View& view, std::size_t in_ports, std::size_t priorities,
@@ -182,17 +188,14 @@ template <typename Num, typename View>
   // filter: S_ia + arrival is the trial cell every level at or below
   // `priority` composes from.
   Frame frame;
-  std::vector<BasicSegment<Num>>& trial_cell_buffer = frame.segments();
-  detail::multiplex_union(view.cell(in_port, priority).segments(),
-                          arrival.segments(), trial_cell_buffer);
-  BasicBitStream<Num>::canonicalize_segments(trial_cell_buffer);
-  const Span trial_cell = trial_cell_buffer;
+  const Span trial_cell_parts[] = {view.cell(in_port, priority).segments(),
+                                   arrival.segments()};
+  const Span trial_cell =
+      detail::multiplex_all_segments<Num>(trial_cell_parts, frame.segments());
 
-  for (Priority q = 0; q < priorities; ++q) {
+  for (Priority q = priority; q < priorities; ++q) {
     std::optional<Num> bound;
-    if (q < priority) {
-      bound = view.bound(q);
-    } else if (q == priority) {
+    if (q == priority) {
       // Candidate raises the offered load of its own queue; the traffic
       // above it is unchanged.  Every other in-port contributes its
       // filtered stream untouched.
@@ -237,13 +240,11 @@ template <typename Num, typename View>
     if (q == priority) {
       result.bound_at_priority = bound;
     }
-    if (q >= priority) {
-      const Num dmax = view.advertised(q);
-      if (!bound.has_value() || *bound > dmax) {
-        result.admitted = false;
-        result.reason = point_reject_reason(out_port, q, bound, dmax);
-        return result;
-      }
+    const Num dmax = view.advertised(q);
+    if (!bound.has_value() || *bound > dmax) {
+      result.admitted = false;
+      result.reason = point_reject_reason(out_port, q, bound, dmax);
+      return result;
     }
   }
   result.admitted = true;

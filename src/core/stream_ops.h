@@ -25,16 +25,19 @@
 // non-increasing) and are pure: they return new streams.
 //
 // Each algorithm has one definition, a span kernel in `detail` that reads
-// segment spans and writes raw segments into a caller's buffer.  The
+// segment spans and writes segments into a caller's buffer.  The
 // per-point check (core/point_snapshot.h) and the SwitchCac cache fills
 // run the kernels on per-thread scratch (core/stream_scratch.h) and never
 // build a BitStream for an intermediate; the BitStream forms below are
-// thin wrappers over the same kernels.  Results are canonicalized by the
-// one canonicalize_segments pass wherever they would have been built as
-// a BitStream, so both forms agree bit for bit.
+// thin wrappers over the same kernels.  The k-way merge and the filter
+// emit canonical segments in the pass that computes them
+// (detail::CanonicalWriter, core/bitstream.h): bitwise what the
+// BitStream constructor's canonicalize_segments pass makes of the raw
+// segments, without that second pass.
 
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -65,14 +68,13 @@ template <typename Num>
   return kUnit;
 }
 
-/// The two-way union sweep at the heart of `multiplex` (Algorithm 3.2):
-/// appends to `out` one segment per breakpoint in the union of `a` and
-/// `b`, whose rate is the sum of the rates in force.  Output is raw —
-/// adjacent equal-rate segments are NOT coalesced; callers canonicalize
-/// (the BitStream constructor, or BitStream::canonicalize_segments for
-/// buffer-reusing callers like the merge tree).  Shared so every 2-way
-/// aggregate in the system — fold, k-way verify, merge-tree node — sums
-/// rates through the one definition and stays bitwise comparable.
+/// The two-way union sweep of `multiplex` (Algorithm 3.2): appends to
+/// `out` one segment per breakpoint in the union of `a` and `b`, whose
+/// rate is the sum of the rates in force.  Output is raw — adjacent
+/// equal-rate segments are NOT coalesced; `multiplex` hands it to the
+/// BitStream constructor.  This fold step is the reference the k-way
+/// kernel below is tested against (tests/core/test_multiplex_all.cpp) and
+/// the one check_from_scratch folds with.
 template <typename Num>
 void multiplex_union(std::span<const BasicSegment<Num>> a,
                      std::span<const BasicSegment<Num>> b,
@@ -101,77 +103,85 @@ void multiplex_union(std::span<const BasicSegment<Num>> a,
   }
 }
 
-/// The k-way union sweep of multiplex_all: appends to `out` one segment
-/// per breakpoint in the union of `streams` (at least two, each a valid
-/// stream starting at 0), whose rate is the left-nested sum, in input
-/// order, of the rates in force — the association of the left fold of
-/// two-way multiplex, so the two agree bitwise whenever the fold's
+/// The k-way merge of Algorithm 3.2: appends to `out` (empty) the
+/// canonical segments of the aggregate of `streams` (valid streams; zero
+/// streams add nothing and are skipped, and none at all is the zero
+/// stream).  Every aggregate on the admission path is made here:
+/// multiplex_all_segments (the check, the cache fills, rebuild_cell) and
+/// the merge tree's node merge (core/merge_tree.h).
+///
+/// The rate at each breakpoint of the union is the left-nested sum, in
+/// input order, of the rates in force — the association of the left fold
+/// of two-way `multiplex`, so the two agree bitwise whenever the fold's
 /// canonicalization coalesces nothing (always, for exact scalars).  Each
 /// term is non-increasing in t and fp rounding is monotone, so the sum is
-/// too.  Output is raw, as multiplex_union's.
-///
-/// That sum costs O(k) per breakpoint and cannot be updated incrementally
-/// without changing its rounding, so the next breakpoint is found by a
-/// linear scan over the cursors in the same pass: O(k) per breakpoint
-/// either way, and no slower than a heap at the input counts the check
-/// and rebuild_cell merge (docs/PERFORMANCE.md §3).
+/// too.  That sum costs O(k) per breakpoint and cannot be updated
+/// incrementally without changing its rounding, so the next breakpoint is
+/// found by a linear scan over the cursors in the same pass
+/// (docs/PERFORMANCE.md §3).  A cursor advances by a select, not a branch
+/// per input: the segment after the one in force takes over when it
+/// starts at or before t (no next segment starts before t, so that means
+/// at t; on the last segment the "next" is the segment itself).  It then
+/// offers the start of its next segment to the search for the next
+/// breakpoint, or, on its last segment, the union's last breakpoint.
+/// Each sum goes straight through CanonicalWriter, so no second pass
+/// canonicalizes the output.
 template <typename Num>
-void multiplex_union_all(std::span<const SegmentSpan<Num>> streams,
-                         std::vector<BasicSegment<Num>>& out) {
+void multiplex_union_canonical(std::span<const SegmentSpan<Num>> streams,
+                               std::vector<BasicSegment<Num>>& out) {
   using Seg = BasicSegment<Num>;
-  // cursor[s] is one past the segment of stream s in force.  Every stream
-  // starts at 0, so from the first breakpoint on each cursor is >= 1.
-  std::vector<std::size_t>& cursor =
+  std::vector<MergeCursor<Num>>& cursor_store =
       StreamScratch<Num>::local().merge_cursors;
-  cursor.assign(streams.size(), 0);
+  cursor_store.clear();
+  Num end{0};  // the union's last breakpoint
+  for (const SegmentSpan<Num>& segs : streams) {
+    if (is_zero_segments(segs)) continue;
+    cursor_store.push_back(MergeCursor<Num>{segs.data(), &segs.back()});
+    if (end < segs.back().start) end = segs.back().start;
+  }
+  const std::span<MergeCursor<Num>> cursors(cursor_store);
+  CanonicalWriter<Num> emit(out);
   Num t{0};
   for (;;) {
-    // Advance the cursors sitting on t, add the rates in force, and find
-    // the next breakpoint.
     Num rate_sum{0};
-    const Num* next = nullptr;
-    for (std::size_t s = 0; s < streams.size(); ++s) {
-      const SegmentSpan<Num> segs = streams[s];
-      std::size_t& k = cursor[s];
-      if (k < segs.size() && segs[k].start == t) ++k;
-      rate_sum += segs[k - 1].rate;
-      if (k < segs.size() && (next == nullptr || segs[k].start < *next)) {
-        next = &segs[k].start;
-      }
+    Num next = end;
+    for (MergeCursor<Num>& c : cursors) {
+      const Seg* step = c.at + (c.at != c.last);
+      c.at = t < step->start ? c.at : step;
+      rate_sum += c.at->rate;
+      next = std::min(next, c.at != c.last ? c.at[1].start : end);
     }
-    out.push_back(Seg{rate_sum, t});
-    if (next == nullptr) return;
-    t = *next;
+    emit.push(rate_sum, t);
+    if (t == end) break;
+    t = next;
   }
+  RTCAC_INVARIANT_AUDIT(BasicBitStream<Num>::segments_canonical(out),
+                        "multiplex: output is not a canonical stream");
 }
 
 /// K-way multiplex over spans: the canonical segments of the aggregate.
 /// Zero streams contribute nothing; with none left the result is the zero
 /// stream, and a lone non-zero input is returned unchanged (not copied).
-/// Otherwise the union is written to `out`, canonicalized there, and
-/// `out` is returned.  The result views `out` or the inputs, so it lives
-/// as long as they do.
+/// Otherwise the aggregate is written to `out`, which is returned.  The
+/// result views `out` or the inputs, so it lives as long as they do.
 template <typename Num>
 [[nodiscard]] SegmentSpan<Num> multiplex_all_segments(
     std::span<const SegmentSpan<Num>> streams,
     std::vector<BasicSegment<Num>>& out) {
-  std::vector<SegmentSpan<Num>>& active =
-      StreamScratch<Num>::local().merge_inputs;
-  active.clear();
+  const SegmentSpan<Num>* lone = nullptr;
+  std::size_t live = 0;
   std::size_t total = 0;
   for (const SegmentSpan<Num>& s : streams) {
     if (is_zero_segments(s)) continue;
-    active.push_back(s);
+    lone = &s;
+    ++live;
     total += s.size();
   }
-  if (active.empty()) return zero_segments<Num>();
-  if (active.size() == 1) return active.front();
+  if (live == 0) return zero_segments<Num>();
+  if (live == 1) return *lone;
   out.clear();
   out.reserve(total);
-  multiplex_union_all<Num>(active, out);
-  BasicBitStream<Num>::canonicalize_segments(out);
-  RTCAC_INVARIANT_AUDIT(BasicBitStream<Num>::segments_valid(out),
-                        "multiplex_all: output violates the stream invariant");
+  multiplex_union_canonical<Num>(streams, out);
   return out;
 }
 
@@ -183,13 +193,13 @@ enum class FilterShape {
 };
 
 /// The link filter of Algorithm 3.4 (see `filter` below) over a segment
-/// span.  Writes raw (uncanonicalized) segments to `out` only for
-/// kSmoothed.
+/// span.  Writes to `out` only for kSmoothed, and then the canonical
+/// segments of the smoothed stream, emitted through CanonicalWriter (the
+/// post-drain rate may coalesce into the link rate 1).
 template <typename Num>
 [[nodiscard]] FilterShape smooth_segments(SegmentSpan<Num> segs,
                                           const Num& initial_backlog,
                                           std::vector<BasicSegment<Num>>& out) {
-  using Seg = BasicSegment<Num>;
   RTCAC_REQUIRE(!(initial_backlog < Num(0)),
                 "filter: negative initial backlog");
   // Fast path: nothing to smooth.
@@ -243,7 +253,8 @@ template <typename Num>
 
   out.clear();
   out.reserve(segs.size() - drain_seg + 1);
-  out.push_back(Seg{Num(1), Num(0)});
+  CanonicalWriter<Num> emit(out);
+  emit.push(Num(1), Num(0));
   // After the drain instant the output follows the input.  The input rate
   // at drain_time is segs[drain_seg].rate (< 1, or the drain would not
   // have completed inside this segment) — unless the queue emptied exactly
@@ -253,16 +264,16 @@ template <typename Num>
   if (resume + 1 < segs.size() && !(segs[resume + 1].start > *drain_time)) {
     ++resume;
   }
-  out.push_back(Seg{segs[resume].rate, *drain_time});
+  emit.push(segs[resume].rate, *drain_time);
   for (std::size_t k = resume + 1; k < segs.size(); ++k) {
-    out.push_back(segs[k]);
+    emit.push(segs[k].rate, segs[k].start);
   }
   return FilterShape::kSmoothed;
 }
 
 /// `filter` over spans: the canonical segments of the filtered stream —
-/// the input itself, the saturated link, or `out` holding the
-/// canonicalized smoothed segments.
+/// the input itself, the saturated link, or `out` holding the smoothed
+/// segments.
 template <typename Num>
 [[nodiscard]] SegmentSpan<Num> filter_segments(
     SegmentSpan<Num> segs, const Num& initial_backlog,
@@ -275,11 +286,10 @@ template <typename Num>
     case FilterShape::kSmoothed:
       break;
   }
-  BasicBitStream<Num>::canonicalize_segments(out);
   RTCAC_INVARIANT_AUDIT(
-      BasicBitStream<Num>::segments_valid(out) &&
+      BasicBitStream<Num>::segments_canonical(out) &&
           NumTraits<Num>::nearly_leq(out.front().rate, Num(1)),
-      "filter: output must be a link-feasible (rate <= 1) stream");
+      "filter: output must be a canonical link-feasible (rate <= 1) stream");
   return out;
 }
 
@@ -301,10 +311,11 @@ BasicBitStream<Num> multiplex(const BasicBitStream<Num>& s1,
 }
 
 /// K-way multiplex: the aggregate of an arbitrary set of streams in one
-/// merge sweep (detail::multiplex_union_all).  Equivalent to left-folding
-/// `multiplex` over the set, and bitwise equal to the fold whenever no
-/// tolerance coalescing fires in the fold's intermediates (always, for
-/// exact scalars) — remove/rebuild must restore aggregates bit for bit.
+/// merge sweep (detail::multiplex_union_canonical).  Equivalent to
+/// left-folding `multiplex` over the set, and bitwise equal to the fold
+/// whenever no tolerance coalescing fires in the fold's intermediates
+/// (always, for exact scalars) — remove/rebuild must restore aggregates
+/// bit for bit.
 /// Unlike the fold it never materializes the O(k) intermediate partial
 /// aggregates.  Null and zero entries contribute nothing; an empty set
 /// yields the zero stream.

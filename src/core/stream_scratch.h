@@ -25,13 +25,14 @@
 //     fills its caches lazily, in the middle of a check — without either
 //     clobbering the other.  Buffers live in a deque, so lending a new
 //     one never moves an old one.
-//   * The leaf buffers (merge_*, service_curve, preimages) belong to one
-//     kernel call that calls out to nothing: no view accessor, no other
-//     kernel.  Those calls cannot nest, so one set per thread suffices.
-//     Each kernel clears what it uses on entry.
+//   * The leaf buffers (merge_cursors, service_curve, preimages) belong to
+//     one kernel call that calls out to nothing: no view accessor, no
+//     other kernel.  Those calls cannot nest, so one set per thread
+//     suffices.  Each kernel clears what it uses on entry.
 //   * Nothing here is ever the storage of a BitStream.  A caller that
 //     keeps a kernel's result copies it into a new stream block
-//     (BitStream::from_canonical).
+//     (BitStream::from_canonical), unless the result is one of the
+//     kernel's inputs, whose stream it then shares.
 
 #pragma once
 
@@ -52,6 +53,14 @@ struct ServicePoint {
   Num start{};
   Num capacity{};
   Num value{};
+};
+
+/// One input of the k-way merge (core/stream_ops.h): the segment in
+/// force at the merge's current breakpoint and the input's last segment.
+template <typename Num>
+struct MergeCursor {
+  const BasicSegment<Num>* at = nullptr;
+  const BasicSegment<Num>* last = nullptr;
 };
 
 template <typename Num>
@@ -103,9 +112,8 @@ class StreamScratch {
     std::size_t spans_mark_;
   };
 
-  // Leaf buffers of the k-way merge (stream_ops.h).
-  std::vector<SegmentSpan> merge_inputs;
-  std::vector<std::size_t> merge_cursors;
+  // Leaf buffer of the k-way merge (stream_ops.h).
+  std::vector<MergeCursor<Num>> merge_cursors;
   // Leaf buffers of the delay bound (delay_bound.h).
   std::vector<ServicePoint<Num>> service_curve;
   std::vector<Num> preimages;

@@ -117,8 +117,29 @@ void BasicSwitchCac<Num>::invalidate_cell(std::size_t in_port,
 
 // The ensure_* fills compute in a scratch frame of their own
 // (core/stream_scratch.h) — they may run in the middle of a check, whose
-// frame lies below — and keep only the final stream, copied out at exact
-// size.
+// frame lies below — and keep only the final stream: an input the
+// kernels returned unchanged (a link-feasible cell's filter, a merge with
+// one non-zero input) by sharing its handle, anything else copied out at
+// exact size.
+
+namespace {
+
+/// The stream a fill keeps for kernel result `result`, given its n input
+/// streams input(0..n-1): the input's own handle when `result` is that
+/// input's span, else a new block.
+template <typename Num, typename Input>
+BasicBitStream<Num> keep_result(detail::SegmentSpan<Num> result,
+                                std::size_t n, const Input& input) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const BasicBitStream<Num>& s = input(i);
+    if (s.segments().data() == result.data() && s.size() == result.size()) {
+      return s;
+    }
+  }
+  return BasicBitStream<Num>::from_canonical(result);
+}
+
+}  // namespace
 
 template <typename Num>
 const typename BasicSwitchCac<Num>::Stream&
@@ -128,8 +149,10 @@ BasicSwitchCac<Num>::ensure_filtered_cell(std::size_t in_port,
   const std::size_t c = cell_index(in_port, out_port, priority);
   if (filtered_cell_dirty_[c] != 0) {
     typename detail::StreamScratch<Num>::Frame frame;
-    filtered_cell_[c] = Stream::from_canonical(detail::filter_segments(
-        arrival_aggr_[c].segments(), Num(0), frame.segments()));
+    filtered_cell_[c] = keep_result<Num>(
+        detail::filter_segments(arrival_aggr_[c].segments(), Num(0),
+                                frame.segments()),
+        1, [&](std::size_t) -> const Stream& { return arrival_aggr_[c]; });
     filtered_cell_dirty_[c] = 0;
   }
   return filtered_cell_[c];
@@ -145,15 +168,19 @@ BasicSwitchCac<Num>::ensure_hp_cell(std::size_t in_port, std::size_t out_port,
       hp_cell_filtered_[c] = Stream{};
     } else {
       typename detail::StreamScratch<Num>::Frame frame;
+      const auto cell = [&](std::size_t q) -> const Stream& {
+        return arrival_aggr_[cell_index(in_port, out_port,
+                                        static_cast<Priority>(q))];
+      };
       std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
       for (Priority q = 0; q < priority; ++q) {
-        parts.push_back(
-            arrival_aggr_[cell_index(in_port, out_port, q)].segments());
+        parts.push_back(cell(q).segments());
       }
       const detail::SegmentSpan<Num> hp_union =
           detail::multiplex_all_segments<Num>(parts, frame.segments());
-      hp_cell_filtered_[c] = Stream::from_canonical(
-          detail::filter_segments(hp_union, Num(0), frame.segments()));
+      hp_cell_filtered_[c] = keep_result<Num>(
+          detail::filter_segments(hp_union, Num(0), frame.segments()),
+          priority, cell);
     }
     hp_cell_dirty_[c] = 0;
   }
@@ -171,8 +198,11 @@ BasicSwitchCac<Num>::ensure_offered(std::size_t out_port,
     for (std::size_t i = 0; i < config_.in_ports; ++i) {
       parts.push_back(ensure_filtered_cell(i, out_port, priority).segments());
     }
-    offered_cache_[q] = Stream::from_canonical(
-        detail::multiplex_all_segments<Num>(parts, frame.segments()));
+    offered_cache_[q] = keep_result<Num>(
+        detail::multiplex_all_segments<Num>(parts, frame.segments()),
+        config_.in_ports, [&](std::size_t i) -> const Stream& {
+          return filtered_cell_[cell_index(i, out_port, priority)];
+        });
     offered_dirty_[q] = 0;
   }
   return offered_cache_[q];
@@ -193,8 +223,11 @@ BasicSwitchCac<Num>::ensure_hp_filtered(std::size_t out_port,
     // out-link, so it can occupy at most rate 1 of it.
     const detail::SegmentSpan<Num> hp_union =
         detail::multiplex_all_segments<Num>(parts, frame.segments());
-    hp_filtered_cache_[q] = Stream::from_canonical(
-        detail::filter_segments(hp_union, Num(0), frame.segments()));
+    hp_filtered_cache_[q] = keep_result<Num>(
+        detail::filter_segments(hp_union, Num(0), frame.segments()),
+        config_.in_ports, [&](std::size_t i) -> const Stream& {
+          return hp_cell_filtered_[cell_index(i, out_port, priority)];
+        });
     hp_filtered_dirty_[q] = 0;
   }
   return hp_filtered_cache_[q];
@@ -242,9 +275,6 @@ struct BasicSwitchCac<Num>::CheckView {
   [[nodiscard]] const Stream& hp_filtered(Priority q) const {
     return cac.ensure_hp_filtered(out_port, q);
   }
-  [[nodiscard]] const std::optional<Num>& bound(Priority q) const {
-    return cac.ensure_bound(out_port, q);
-  }
   [[nodiscard]] Num advertised(Priority q) const {
     return cac.advertised_[cac.queue_index(out_port, q)];
   }
@@ -254,7 +284,7 @@ template <typename Num>
 typename BasicSwitchCac<Num>::Stream
 BasicSwitchCac<Num>::offered_aggregate_scratch(std::size_t out_port,
                                                Priority priority,
-                                               const Stream* extra,
+                                               const Stream& extra,
                                                std::size_t extra_in,
                                                Priority extra_prio) const {
   Stream offered;
@@ -262,8 +292,8 @@ BasicSwitchCac<Num>::offered_aggregate_scratch(std::size_t out_port,
     // Exact fold from the records — never the cached aggregate, which in
     // coalescing mode only dominates the true cell stream.
     Stream cell = rebuild_cell(i, out_port, priority);
-    if (extra != nullptr && i == extra_in && priority == extra_prio) {
-      cell = multiplex(cell, *extra);
+    if (i == extra_in && priority == extra_prio) {
+      cell = multiplex(cell, extra);
     }
     if (cell.is_zero()) continue;
     offered = multiplex(offered, filter(cell));
@@ -274,7 +304,7 @@ BasicSwitchCac<Num>::offered_aggregate_scratch(std::size_t out_port,
 template <typename Num>
 typename BasicSwitchCac<Num>::Stream
 BasicSwitchCac<Num>::higher_priority_filtered_scratch(
-    std::size_t out_port, Priority priority, const Stream* extra,
+    std::size_t out_port, Priority priority, const Stream& extra,
     std::size_t extra_in, Priority extra_prio) const {
   Stream out_aggr;
   for (std::size_t i = 0; i < config_.in_ports; ++i) {
@@ -284,8 +314,8 @@ BasicSwitchCac<Num>::higher_priority_filtered_scratch(
     Stream hp;
     for (Priority q = 0; q < priority; ++q) {
       Stream cell = rebuild_cell(i, out_port, q);
-      if (extra != nullptr && i == extra_in && q == extra_prio) {
-        cell = multiplex(cell, *extra);
+      if (i == extra_in && q == extra_prio) {
+        cell = multiplex(cell, extra);
       }
       if (cell.is_zero()) continue;
       hp = multiplex(hp, cell);
@@ -326,36 +356,23 @@ BasicSwitchCac<Num>::check_from_scratch(std::size_t in_port,
 
   // Frozen pre-optimization path: every aggregate re-folded with two-way
   // multiplex, every bound from the reference candidate scan, no caches.
-  for (Priority q = 0; q < config_.priorities; ++q) {
-    std::optional<Num> bound;
-    if (q < priority) {
-      const Stream offered =
-          offered_aggregate_scratch(out_port, q, nullptr, 0, 0);
-      if (offered.is_zero()) {
-        bound = Num(0);
-      } else {
-        const Stream hp =
-            higher_priority_filtered_scratch(out_port, q, nullptr, 0, 0);
-        bound = delay_bound_reference(offered, hp);
-      }
-    } else {
-      const Stream offered =
-          offered_aggregate_scratch(out_port, q, &arrival, in_port, priority);
-      const Stream hp = higher_priority_filtered_scratch(
-          out_port, q, &arrival, in_port, priority);
-      bound = delay_bound_reference(offered, hp);
-    }
+  // Like check_point_view it computes only the verdict's levels, from the
+  // candidate's priority down (core/point_snapshot.h).
+  for (Priority q = priority; q < config_.priorities; ++q) {
+    const Stream offered =
+        offered_aggregate_scratch(out_port, q, arrival, in_port, priority);
+    const Stream hp = higher_priority_filtered_scratch(out_port, q, arrival,
+                                                       in_port, priority);
+    const std::optional<Num> bound = delay_bound_reference(offered, hp);
     result.bounds[q] = bound;
     if (q == priority) {
       result.bound_at_priority = bound;
     }
-    if (q >= priority) {
-      const Num dmax = advertised_[queue_index(out_port, q)];
-      if (!bound.has_value() || *bound > dmax) {
-        result.admitted = false;
-        result.reason = point_reject_reason(out_port, q, bound, dmax);
-        return result;
-      }
+    const Num dmax = advertised_[queue_index(out_port, q)];
+    if (!bound.has_value() || *bound > dmax) {
+      result.admitted = false;
+      result.reason = point_reject_reason(out_port, q, bound, dmax);
+      return result;
     }
   }
   result.admitted = true;
@@ -785,7 +802,6 @@ BasicSwitchCac<Num>::export_point_sections(
     }
     section->offered = ensure_offered(out_port, p);
     section->hp_filtered = ensure_hp_filtered(out_port, p);
-    section->bound = ensure_bound(out_port, p);
     section->advertised = advertised_[queue_index(out_port, p)];
     sections->sections[p] = std::move(section);
   }

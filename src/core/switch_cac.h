@@ -30,13 +30,15 @@
 // Admission hot path (docs/PERFORMANCE.md): every derived stream the check
 // needs — the filtered per-cell streams S_if, the higher-priority unions,
 // the per-(out, priority) offered aggregates S_oa / filtered aggregates
-// S_of and the computed bounds D' — is cached with dirty-tracking.  A
-// mutation at cell (i, j, p) invalidates only the entries that cell feeds
-// (its own filtered stream, S_oa(j, p), and the higher-priority caches of
-// every level below p at out-port j); everything else survives, so check()
-// composes cached streams with the candidate via the k-way multiplex_all
-// instead of re-folding the whole switch.  check_from_scratch() keeps the
-// pre-optimization fold exactly as it was: it is the oracle the
+// S_of — and the committed-set bounds D' behind computed_bound() are
+// cached with dirty-tracking.  A mutation at cell (i, j, p) invalidates
+// only the entries that cell feeds (its own filtered stream, S_oa(j, p),
+// and the higher-priority caches of every level below p at out-port j);
+// everything else survives, so check() composes cached streams with the
+// candidate via the k-way multiplex_all instead of re-folding the whole
+// switch, and only at the levels that gate its verdict (the candidate's
+// priority and below; core/point_snapshot.h).  check_from_scratch() keeps
+// the pre-optimization fold over the same levels: it is the oracle the
 // cache-coherence property tests compare against and the baseline the
 // admission benchmark measures.  Under RTCAC_CONTRACT_AUDIT every mutation
 // re-verifies cache coherence (cache_coherent()) alongside the existing
@@ -275,7 +277,10 @@ class BasicSwitchCac {
   /// after every mutation, before releasing the shard's exclusive lock:
   /// a fully primed switch makes check() and the bound queries genuinely
   /// read-only, so any number of readers may run them concurrently under
-  /// a shared lock without racing on the mutable cache members.
+  /// a shared lock without racing on the mutable cache members.  check()
+  /// never reads the bound cache, but computed_bound() does
+  /// (ConcurrentCac::computed_bound, under a shared lock), so priming
+  /// fills it too.
   void prime_caches() const;
 
   /// Allocation counters of the merge-tree/arena storage (bench hook).
@@ -384,11 +389,11 @@ class BasicSwitchCac {
 
   [[nodiscard]] Stream offered_aggregate_scratch(std::size_t out_port,
                                                  Priority priority,
-                                                 const Stream* extra,
+                                                 const Stream& extra,
                                                  std::size_t extra_in,
                                                  Priority extra_prio) const;
   [[nodiscard]] Stream higher_priority_filtered_scratch(
-      std::size_t out_port, Priority priority, const Stream* extra,
+      std::size_t out_port, Priority priority, const Stream& extra,
       std::size_t extra_in, Priority extra_prio) const;
 
   /// Re-audits the full CAC state (aggregate/record consistency,

@@ -14,7 +14,9 @@
 // The budget holds for the live SwitchCac::check on a primed (clean)
 // switch and for the snapshot PointSnapshot::check, for both scalar
 // instantiations, on a switch with more than 64 in-ports so every merge
-// grows its cursor arrays past any small fixed size.
+// grows its cursor arrays past any small fixed size.  A cache fill whose
+// kernel returns an input unchanged shares that input's block, so priming
+// a switch whose one connection is link-feasible allocates nothing.
 //
 // Allocations are counted by replacing the global operator new, which
 // would count in every test that shared the binary — so this file is a
@@ -208,6 +210,43 @@ TEST(AllocationBudget, SnapshotExportCopiesHandlesNotSegments) {
             stale_export_allocations<double>(kInPorts));
   EXPECT_EQ(stale_export_allocations<Rational>(18),
             stale_export_allocations<Rational>(kInPorts));
+}
+
+// A cache fill whose kernel returns an input unchanged keeps that input's
+// handle.  With one link-feasible connection on an otherwise empty
+// switch, every stream prime_caches() fills is the connection's own (its
+// filtered cell, the offered aggregate of its queue, the higher-priority
+// unions of the levels below it) or the zero stream, so once the thread's
+// scratch is warm, priming allocates nothing.
+template <typename Num>
+void expect_lone_feasible_connection_primes_without_allocating() {
+  using Cac = BasicSwitchCac<Num>;
+  typename Cac::Config cfg;
+  cfg.in_ports = kInPorts;
+  cfg.out_ports = kOutPorts;
+  cfg.priorities = kPriorities;
+  Cac cac(cfg);
+  Xorshift rng(23);
+  const BasicBitStream<Num> arrival = small_stream<Num>(rng);
+  ASSERT_LE(arrival.peak_rate(), Num(1));  // link-feasible
+
+  // Warm-up: the same join and priming once, then the switch empties.
+  cac.add(1, 3, 0, 1, arrival);
+  cac.prime_caches();
+  ASSERT_TRUE(cac.remove(1));
+  cac.prime_caches();
+
+  cac.add(2, 3, 0, 1, arrival);
+  EXPECT_EQ(allocations_during([&] { cac.prime_caches(); }), 0u);
+  EXPECT_EQ(cac.arrival_aggregate(3, 0, 1).segments().data(),
+            arrival.segments().data());
+  EXPECT_TRUE(cac.cache_coherent());
+  EXPECT_TRUE(cac.computed_bound(0, kPriorities - 1).has_value());
+}
+
+TEST(AllocationBudget, LoneFeasibleConnectionPrimesWithoutAllocating) {
+  expect_lone_feasible_connection_primes_without_allocating<double>();
+  expect_lone_feasible_connection_primes_without_allocating<Rational>();
 }
 
 struct Candidate {

@@ -2,14 +2,17 @@
 // randomized seeded add/remove/reclaim interleavings must keep the cached
 // check() in agreement with check_from_scratch() (the frozen
 // pre-optimization fold), keep every derived-stream cache coherent with
-// its inputs, and keep the batched reclaim() equivalent to removing the
-// expired ids one at a time.  The Rational instantiation pins the
-// equivalences exactly; the double one within NumTraits tolerance.
+// its inputs, keep computed_bound() of every queue equal to a bound
+// folded from scratch out of the live connections, and keep the batched
+// reclaim() equivalent to removing the expired ids one at a time.  The
+// Rational instantiation pins the equivalences exactly; the double one
+// within NumTraits tolerance.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -65,6 +68,75 @@ void expect_same_decision(
   }
 }
 
+/// One committed connection, as the churn tests remember it.
+template <typename Num>
+struct Member {
+  std::size_t in;
+  std::size_t out;
+  Priority prio;
+  BasicBitStream<Num> arrival;
+};
+
+template <typename Num>
+using Members = std::map<ConnectionId, Member<Num>>;
+
+/// D'(j, q) over the committed set, folded from scratch out of the
+/// connections' own streams with two-way multiplex and the reference
+/// bound scan: no cache, no merge tree, no k-way kernel.  The check
+/// computes only the levels at and below a candidate's priority, so this
+/// is the oracle for the bound cache behind computed_bound().
+template <typename Num>
+std::optional<Num> bound_from_scratch(const Members<Num>& members,
+                                      std::size_t in_ports, std::size_t out,
+                                      Priority q) {
+  using Stream = BasicBitStream<Num>;
+  const auto cell = [&](std::size_t in, Priority p) {
+    Stream aggr;
+    for (const auto& [id, m] : members) {
+      if (m.in == in && m.out == out && m.prio == p) {
+        aggr = multiplex(aggr, m.arrival);
+      }
+    }
+    return aggr;
+  };
+  Stream offered;
+  Stream hp;
+  for (std::size_t in = 0; in < in_ports; ++in) {
+    offered = multiplex(offered, filter(cell(in, q)));
+    Stream higher;
+    for (Priority p = 0; p < q; ++p) higher = multiplex(higher, cell(in, p));
+    hp = multiplex(hp, filter(higher));
+  }
+  return delay_bound_reference(offered, filter(hp));
+}
+
+/// computed_bound() of every queue against bound_from_scratch.  Runs on a
+/// copy, so the switch under test keeps its dirty caches for the next
+/// check.
+template <typename Num>
+void expect_bounds_match_scratch(const BasicSwitchCac<Num>& cac,
+                                 const Members<Num>& members) {
+  const BasicSwitchCac<Num> probe = cac;
+  for (std::size_t j = 0; j < cac.out_ports(); ++j) {
+    for (Priority q = 0; q < cac.priorities(); ++q) {
+      const std::optional<Num> got = probe.computed_bound(j, q);
+      const std::optional<Num> want =
+          bound_from_scratch(members, cac.in_ports(), j, q);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "out " << j << " priority " << q;
+      if (got.has_value()) {
+        if constexpr (NumTraits<Num>::kExact) {
+          EXPECT_EQ(*got, *want) << "out " << j << " priority " << q;
+        } else {
+          EXPECT_TRUE(NumTraits<Num>::nearly_equal(*got, *want))
+              << "out " << j << " priority " << q << ": " << *got << " vs "
+              << *want;
+        }
+      }
+    }
+  }
+}
+
 class CacheCoherenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheCoherenceTest,
@@ -82,6 +154,7 @@ void churn_check_matches_from_scratch(std::uint64_t seed,
   SwitchCac cac(cfg);
 
   std::vector<ConnectionId> live;
+  Members<double> members;
   ConnectionId next_id = 1;
   if (standing) {
     const BitStream small =
@@ -89,6 +162,7 @@ void churn_check_matches_from_scratch(std::uint64_t seed,
     for (std::size_t in = 0; in < cfg.in_ports; ++in) {
       for (Priority p = 0; p < cfg.priorities; ++p) {
         cac.add(next_id, in, 0, p, small);
+        members.emplace(next_id, Member<double>{in, 0, p, small});
         live.push_back(next_id++);
       }
     }
@@ -112,10 +186,12 @@ void churn_check_matches_from_scratch(std::uint64_t seed,
                                ? now + static_cast<double>(rng.below(20))
                                : SwitchCac::kPermanentLease;
       cac.add(next_id, in, out, prio, arrival, lease);
+      members.emplace(next_id, Member<double>{in, out, prio, arrival});
       live.push_back(next_id++);
     } else if (action < 8) {
       const std::size_t victim = rng.below(live.size());
       EXPECT_TRUE(cac.remove(live[victim]));
+      members.erase(live[victim]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     } else {
       now += static_cast<double>(rng.below(15));
@@ -123,10 +199,12 @@ void churn_check_matches_from_scratch(std::uint64_t seed,
       EXPECT_TRUE(std::is_sorted(gone.begin(), gone.end()));
       for (const ConnectionId id : gone) {
         live.erase(std::find(live.begin(), live.end(), id));
+        members.erase(id);
       }
     }
     ASSERT_TRUE(cac.state_consistent());
     ASSERT_TRUE(cac.cache_coherent());
+    expect_bounds_match_scratch(cac, members);
   }
 }
 
@@ -271,6 +349,7 @@ void exact_check_matches_from_scratch(std::uint64_t seed,
   ExactSwitchCac cac(cfg);
 
   std::vector<ConnectionId> live;
+  Members<Rational> members;
   ConnectionId next_id = 1;
   if (standing) {
     for (std::size_t in = 0; in < cfg.in_ports; ++in) {
@@ -282,6 +361,7 @@ void exact_check_matches_from_scratch(std::uint64_t seed,
             ExactSegment{Rational(1, 1024),
                          Rational(static_cast<std::int64_t>(2 + in))}};
         cac.add(next_id, in, 0, p, small);
+        members.emplace(next_id, Member<Rational>{in, 0, p, small});
         live.push_back(next_id++);
       }
     }
@@ -313,14 +393,17 @@ void exact_check_matches_from_scratch(std::uint64_t seed,
 
     if (rng.below(3) != 0 || live.empty()) {
       cac.add(next_id, in, out, prio, arrival);
+      members.emplace(next_id, Member<Rational>{in, out, prio, arrival});
       live.push_back(next_id++);
     } else {
       const std::size_t victim = rng.below(live.size());
       EXPECT_TRUE(cac.remove(live[victim]));
+      members.erase(live[victim]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
     ASSERT_TRUE(cac.state_consistent());
     ASSERT_TRUE(cac.cache_coherent());
+    expect_bounds_match_scratch(cac, members);
   }
 }
 

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "core/switch_cac.h"
 #include "core/traffic.h"
 
@@ -76,6 +79,39 @@ TEST(ExactSwitchCac, OverloadIsExactlyUnbounded) {
   const auto check = cac.check(3, 0, 0, extra);
   EXPECT_FALSE(check.admitted);
   EXPECT_FALSE(check.bound_at_priority.has_value());
+}
+
+// Sustained load 1 + 2^-k on one out-link: in-port 0 holds rate 1/2 and
+// in-port 1 checks rate 1/2 + 2^-k.  The queue grows by 2^-k per cell
+// time forever, so both engines must reject it as unbounded.  The double
+// engine used to call a tail within 1e-9 of the service rate stable and
+// admitted every k from 30 to 45 with a finite bound.
+TEST(ExactSwitchCac, DoubleEngineRejectsLoadJustAboveOne) {
+  SwitchCac::Config dcfg;
+  dcfg.in_ports = 2;
+  dcfg.out_ports = 1;
+  dcfg.priorities = 1;
+  ExactSwitchCac::Config ecfg;
+  ecfg.in_ports = 2;
+  ecfg.out_ports = 1;
+  ecfg.priorities = 1;
+  SwitchCac dbl(dcfg);
+  ExactSwitchCac exact(ecfg);
+  dbl.add(1, 0, 0, 0, BitStream::constant(0.5));
+  exact.add(1, 0, 0, 0, ExactBitStream::constant(Rational(1, 2)));
+  for (int k = 20; k <= 45; ++k) {
+    const std::int64_t two_k = std::int64_t{1} << k;
+    const auto d_check =
+        dbl.check(1, 0, 0, BitStream::constant(0.5 + std::ldexp(1.0, -k)));
+    const auto e_check = exact.check(
+        1, 0, 0,
+        ExactBitStream::constant(Rational(1, 2) + Rational(1, two_k)));
+    EXPECT_FALSE(e_check.admitted) << "k = " << k;
+    EXPECT_EQ(d_check.admitted, e_check.admitted) << "k = " << k;
+    EXPECT_EQ(d_check.bound_at_priority.has_value(),
+              e_check.bound_at_priority.has_value())
+        << "k = " << k;
+  }
 }
 
 TEST(ExactSwitchCac, RemoveRestoresExactState) {

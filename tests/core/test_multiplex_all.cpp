@@ -3,12 +3,18 @@
 // bitwise for rational-friendly doubles (no tolerance coalescing fires)
 // and exactly for the Rational instantiation — plus the
 // demultiplex(multiplex(a, b), b) == a round-trip the remove path's
-// algebra depends on.
+// algebra depends on.  The FusedKernels cases drive the single-pass
+// kernels (the k-way merge and the filter emit canonical segments as they
+// go) through their coalescing rule, against a reference that sums first
+// and canonicalizes after.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/stream_ops.h"
@@ -172,6 +178,185 @@ TEST(MultiplexAll, KnownAggregate) {
   const BitStream expect{Segment{1.75, 0.0}, Segment{1.625, 2.0},
                          Segment{1.375, 4.0}, Segment{0.375, 8.0}};
   EXPECT_EQ(multiplex_all(std::span<const BitStream>(all)), expect);
+}
+
+// --- the single-pass kernels against sum-then-canonicalize -------------
+
+template <typename Num>
+Num ratio(std::int64_t num, std::int64_t den) {
+  if constexpr (NumTraits<Num>::kExact) {
+    return Num(num, den);
+  } else {
+    return static_cast<double>(num) / static_cast<double>(den);
+  }
+}
+
+/// A 3-to-6-segment stream with rates in (1, 3] whose steps are either
+/// dyadic (a multiple of 1/64) or tiny: 1.2e-9 of the rate in double,
+/// 2^-30 in Rational.  A tiny double step survives in the stream itself
+/// (it is more than 1e-9 of the rate) but not in a sum with another such
+/// stream, whose rate is at least 1: aggregates get adjacent rates within
+/// 1e-9 relative, and the kernels' coalescing rule fires.
+template <typename Num>
+BasicBitStream<Num> near_tie_stream(Xorshift& rng) {
+  const std::size_t n = 3 + rng.below(4);
+  Num rate = ratio<Num>(128 + static_cast<std::int64_t>(rng.below(64)), 64);
+  Num t(0);
+  std::vector<BasicSegment<Num>> segs{{rate, t}};
+  for (std::size_t i = 1; i < n; ++i) {
+    t += ratio<Num>(1 + static_cast<std::int64_t>(rng.below(40)), 4);
+    if (rng.chance(0.5)) {
+      if constexpr (NumTraits<Num>::kExact) {
+        rate -= Num(1, std::int64_t{1} << 30);
+      } else {
+        rate -= 1.2e-9 * rate;
+      }
+    } else {
+      rate -= ratio<Num>(1 + static_cast<std::int64_t>(rng.below(8)), 64);
+    }
+    segs.push_back({rate, t});
+  }
+  BasicBitStream<Num> s(std::move(segs));
+  EXPECT_EQ(s.size(), n);  // every tiny step survives in the stream
+  return s;
+}
+
+template <typename Num>
+bool same_bits(const Num& a, const Num& b) {
+  if constexpr (std::is_same_v<Num, double>) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  } else {
+    return a == b;
+  }
+}
+
+template <typename Num>
+void expect_same_segments(std::span<const BasicSegment<Num>> got,
+                          const std::vector<BasicSegment<Num>>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_TRUE(same_bits(got[k].rate, want[k].rate)) << "segment " << k;
+    EXPECT_TRUE(same_bits(got[k].start, want[k].start)) << "segment " << k;
+  }
+}
+
+/// The union the kernels must emit, computed the long way: at every
+/// breakpoint of any input, the left-nested sum of the rates in force in
+/// input order (zero inputs included), then one canonicalize_segments
+/// pass.  `raw_size` receives the segment count before that pass.
+template <typename Num>
+std::vector<BasicSegment<Num>> reference_union(
+    const std::vector<BasicBitStream<Num>>& streams, std::size_t& raw_size) {
+  std::vector<Num> times;
+  for (const auto& s : streams) {
+    for (const auto& seg : s.segments()) times.push_back(seg.start);
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  std::vector<BasicSegment<Num>> out;
+  for (const Num& t : times) {
+    Num sum(0);
+    for (const auto& s : streams) sum += s.rate_at(t);
+    out.push_back({sum, t});
+  }
+  raw_size = out.size();
+  BasicBitStream<Num>::canonicalize_segments(out);
+  return out;
+}
+
+/// Runs both entry points of the k-way kernel on `seeds` seeds of k = 2
+/// and k >= 3 near-tie streams with zero streams mixed in; returns how
+/// many of the k = 2 and the k >= 3 unions coalesced a segment.
+template <typename Num>
+std::pair<std::size_t, std::size_t> union_cases_match_reference(
+    std::uint64_t seeds) {
+  std::size_t coalesced_pairs = 0;
+  std::size_t coalesced_wide = 0;
+  for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+    Xorshift rng(seed * 2862933555777941757ULL + 3);
+    for (const std::size_t k : {2u, 3u, 5u, 8u}) {
+      std::vector<BasicBitStream<Num>> streams;
+      for (std::size_t i = 0; i < k; ++i) {
+        streams.push_back(near_tie_stream<Num>(rng));
+      }
+      for (int z = 0; z < 2; ++z) {
+        const auto at = static_cast<std::ptrdiff_t>(rng.below(k + 1));
+        streams.insert(streams.begin() + at, BasicBitStream<Num>{});
+      }
+      std::size_t raw_size = 0;
+      const auto want = reference_union(streams, raw_size);
+      if (raw_size > want.size()) ++(k == 2 ? coalesced_pairs : coalesced_wide);
+
+      // multiplex_all: the check, the cache fills and rebuild_cell.
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << ", k " << k);
+      const auto merged =
+          multiplex_all(std::span<const BasicBitStream<Num>>(streams));
+      expect_same_segments(merged.segments(), want);
+      // The kernel itself, as the merge tree's node merge calls it: zero
+      // inputs reach it there.
+      std::vector<detail::SegmentSpan<Num>> spans;
+      for (const auto& s : streams) spans.push_back(s.segments());
+      std::vector<BasicSegment<Num>> out;
+      detail::multiplex_union_canonical<Num>(spans, out);
+      expect_same_segments<Num>(out, want);
+    }
+  }
+  return {coalesced_pairs, coalesced_wide};
+}
+
+TEST(FusedKernels, UnionCoalescesLikeCanonicalizeDouble) {
+  const auto [pairs, wide] = union_cases_match_reference<double>(40);
+  // The generator must actually reach the coalescing rule, for both k = 2
+  // and k >= 3.
+  EXPECT_GT(pairs, 5u);
+  EXPECT_GT(wide, 20u);
+}
+
+TEST(FusedKernels, UnionMatchesReferenceExactly) {
+  const auto [pairs, wide] = union_cases_match_reference<Rational>(40);
+  // Exact sums of canonical inputs strictly fall at every breakpoint.
+  EXPECT_EQ(pairs, 0u);
+  EXPECT_EQ(wide, 0u);
+}
+
+/// A stream at rate r0 > 1 until t1, then r1 just below 1 (1 - tiny) until
+/// t2, then a low tail (tiny is below 1e-9 in double, 2^-20 steps in
+/// Rational): the queue built by t1 drains at t1 + q / tiny,
+/// inside the second segment, so the filter emits the post-drain rate r1
+/// right after the link rate 1.  Compared with the raw filter output,
+/// computed here with the kernel's arithmetic, after canonicalize_segments.
+template <typename Num>
+void expect_filter_matches_reference(Xorshift& rng, bool expect_coalesced) {
+  const Num r0 = ratio<Num>(65 + static_cast<std::int64_t>(rng.below(64)), 64);
+  const Num t1 = ratio<Num>(1 + static_cast<std::int64_t>(rng.below(40)), 4);
+  const auto steps = static_cast<std::int64_t>(1 + rng.below(9));
+  Num tiny;
+  if constexpr (NumTraits<Num>::kExact) {
+    tiny = Num(steps, std::int64_t{1} << 20);  // the prefix areas fit int64
+  } else {
+    tiny = 1e-10 * static_cast<double>(steps);
+  }
+  const Num r1 = Num(1) - tiny;
+  const Num queue = (r0 - Num(1)) * (t1 - Num(0));
+  const Num drain = t1 + queue / (Num(1) - r1);
+  const Num t2 = drain + Num(1 + static_cast<std::int64_t>(rng.below(8)));
+  const Num tail = ratio<Num>(static_cast<std::int64_t>(rng.below(32)), 64);
+  const BasicBitStream<Num> s{{r0, Num(0)}, {r1, t1}, {tail, t2}};
+
+  std::vector<BasicSegment<Num>> want{{Num(1), Num(0)}, {r1, drain},
+                                      {tail, t2}};
+  BasicBitStream<Num>::canonicalize_segments(want);
+  EXPECT_EQ(want.size(), expect_coalesced ? 2u : 3u);
+  expect_same_segments(filter(s).segments(), want);
+}
+
+TEST(FusedKernels, FilterPostDrainRateNearOneCoalesces) {
+  Xorshift rng(97);
+  for (int i = 0; i < 20; ++i) {
+    SCOPED_TRACE(i);
+    expect_filter_matches_reference<double>(rng, true);
+    expect_filter_matches_reference<Rational>(rng, false);
+  }
 }
 
 }  // namespace
