@@ -143,6 +143,79 @@ void BM_DelayBound(benchmark::State& state) {
 }
 BENCHMARK(BM_DelayBound)->Range(4, 256)->Complexity(benchmark::oN);
 
+// One in-port's cell as the workloads offer it: 1 to 6 VBR connections
+// (SCR k/2048, PCR 2 to 7 times that, MBS 2 to 31) or 1 to 2 CBR ones
+// (k/256 of the link), each distorted for an upstream CDV, multiplexed
+// and filtered by the in-link.
+BitStream workload_cell(Xorshift& rng, bool cbr) {
+  BitStream cell;
+  const std::uint64_t connections = cbr ? 1 + rng.below(2) : 1 + rng.below(6);
+  for (std::uint64_t c = 0; c < connections; ++c) {
+    TrafficDescriptor td;
+    if (cbr) {
+      td = TrafficDescriptor::cbr(static_cast<double>(1 + rng.below(8)) / 256);
+    } else {
+      const double scr = static_cast<double>(1 + rng.below(6)) / 2048;
+      td = TrafficDescriptor::vbr(
+          scr * static_cast<double>(2 + rng.below(6)), scr,
+          static_cast<std::uint32_t>(2 + rng.below(30)));
+    }
+    cell = multiplex(cell, delay(td.to_bitstream(),
+                                 32.0 * static_cast<double>(rng.below(8))));
+  }
+  return filter(cell);
+}
+
+// The Alg. 4.1 bound as the per-point check calls it: the span kernel on
+// a queue's offered aggregate (2 to 4 in-port cells) against the
+// filtered aggregate above it (1 to 4 cells).  Each row keeps 64 input
+// sets of one shape with a finite bound and cycles through them, as
+// BM_MultiplexAll does:
+//   * vbr: offered aggregates of 8 to 12 segments against 13 to 17 service
+//     points, the `churn` and `probe` shape;
+//   * cbr: 3 segments against 2 points, the `signaling_lossy` shape.
+struct BoundShape {
+  bool cbr;
+  std::size_t offered_min, offered_max, hp_min, hp_max;
+};
+
+void BM_DelayBoundCheck(benchmark::State& state, BoundShape shape) {
+  constexpr std::size_t kSets = 64;
+  Xorshift rng(7);
+  std::vector<BitStream> offered;
+  std::vector<BitStream> hp;
+  for (int draw = 0; draw < 200000 && offered.size() < kSets; ++draw) {
+    BitStream s;
+    for (std::uint64_t i = 0, n = 2 + rng.below(3); i < n; ++i) {
+      s = multiplex(s, workload_cell(rng, shape.cbr));
+    }
+    BitStream above;
+    for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i) {
+      above = multiplex(above, workload_cell(rng, shape.cbr));
+    }
+    above = filter(above);
+    if (s.size() < shape.offered_min || s.size() > shape.offered_max ||
+        above.size() < shape.hp_min || above.size() > shape.hp_max ||
+        !delay_bound(s, above).has_value()) {
+      continue;
+    }
+    offered.push_back(std::move(s));
+    hp.push_back(std::move(above));
+  }
+  if (offered.size() < kSets) {
+    state.SkipWithError("too few inputs of the shape in 200000 draws");
+    return;
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detail::delay_bound_segments<double>(
+        offered[next].segments(), hp[next].segments()));
+    next = (next + 1) % kSets;
+  }
+}
+BENCHMARK_CAPTURE(BM_DelayBoundCheck, vbr, BoundShape{false, 8, 12, 13, 17});
+BENCHMARK_CAPTURE(BM_DelayBoundCheck, cbr, BoundShape{true, 3, 3, 2, 2});
+
 // Full per-switch admission check as a function of connection count and
 // priority levels — the quantity that gates on-line VC setup.
 void BM_SwitchAdmission(benchmark::State& state) {

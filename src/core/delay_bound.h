@@ -124,11 +124,11 @@ class ServiceCurve {
              (excess > Num(0) ? excess / last.capacity : Num(0));
     }
     // Service saturates at last.value.  Served only if demand does not
-    // exceed it; the final bit departs when G first reached a.
-    const bool served = NumTraits<Num>::kExact
-                            ? (last.value >= a)
-                            : NumTraits<Num>::nearly_leq(a, last.value);
-    if (!served) return std::nullopt;
+    // exceed it; the final bit departs when G first reached a.  Exact for
+    // both scalars, so any error is toward unbounded: a tolerance would
+    // let a saturated link (G = 0) serve a burst of up to 1e-9 bits in
+    // double and return a finite bound.
+    if (!(a <= last.value)) return std::nullopt;
     return lower_inverse(a);
   }
 
@@ -170,15 +170,26 @@ class ServiceCurve {
 /// O((|S| + |G|)²) of re-evaluating A and G⁻¹ from the origin per
 /// candidate (delay_bound_reference below, the pre-optimization form kept
 /// as the oracle).  Every candidate's value is computed by the same
-/// arithmetic in the same order as the reference, so the two agree exactly
-/// — not merely within tolerance — for both scalar instantiations.
+/// arithmetic in the same order as the reference.
+///
+/// The sweep stops at the concave peak (docs/PERFORMANCE.md §4).  A is
+/// concave (rates non-increasing) and G convex (capacities non-decreasing),
+/// so G's upper inverse is concave and non-decreasing on [0, ∞) and
+/// D(t) = G⁻¹(A(t)) - t is concave.  Just after a candidate t, D rises at
+/// r/c - 1, with r the arrival rate in force after t and c > 0 the
+/// capacity of the service segment holding t's departure; once r <= c no
+/// later candidate exceeds D(t).  For exact scalars the result therefore
+/// equals the reference's; for double every evaluated candidate is
+/// computed bit for bit as the reference computes it, and only a later
+/// candidate lifted above the peak by rounding could make them differ.
+/// Audit builds sweep on past the stop and check that none is.
 template <typename Num>
 std::optional<Num> delay_bound_segments(
     std::span<const BasicSegment<Num>> segs,
     std::span<const BasicSegment<Num>> s1_filtered) {
   if (is_zero_segments(segs)) return Num(0);  // no arrivals, no delay
-  StreamScratch<Num>& scratch = StreamScratch<Num>::local();
-  const ServiceCurve<Num> g(s1_filtered, scratch.service_curve);
+  const ServiceCurve<Num> g(s1_filtered,
+                            StreamScratch<Num>::local().service_curve);
 
   // Unbounded iff arrivals outpace service forever.  Exact for both
   // scalars: a tolerance here would call a queue growing by 1e-9 per cell
@@ -187,42 +198,16 @@ std::optional<Num> delay_bound_segments(
 
   const auto gp = g.points();
 
-  // Preimage times t with A(t) = G(u_k) for each service breakpoint u_k.
-  // The G(u_k) are non-decreasing, so one forward cursor over S computes
-  // them all (time_of_bits semantics, incrementalized).
-  std::vector<Num>& pre = scratch.preimages;
-  pre.clear();
-  {
-    std::size_t k = 0;
-    Num area{0};
-    for (const ServicePoint<Num>& point : gp) {
-      const Num& bits = point.value;
-      if (bits <= Num(0)) {
-        pre.push_back(Num(0));
-        continue;
-      }
-      while (k + 1 < segs.size()) {
-        const Num gained =
-            segs[k].rate * (segs[k + 1].start - segs[k].start);
-        if (area + gained >= bits) break;
-        area += gained;
-        ++k;
-      }
-      if (k + 1 < segs.size()) {
-        // rate > 0 here, or an earlier segment would already have
-        // accumulated `bits`.
-        pre.push_back(segs[k].start + (bits - area) / segs[k].rate);
-      } else if (segs[k].rate == Num(0)) {
-        const bool reached = NumTraits<Num>::kExact
-                                 ? (area >= bits)
-                                 : NumTraits<Num>::nearly_leq(bits, area);
-        if (reached) pre.push_back(segs[k].start);
-        // else: the stream never produces that much demand — no candidate.
-      } else {
-        pre.push_back(segs[k].start + (bits - area) / segs[k].rate);
-      }
-    }
-  }
+  // Preimage cursor: `pre` is the next time t with A(t) = G(u_k) for a
+  // service breakpoint u_k, computed only once the merge below has taken
+  // the previous one; `pk` is the next breakpoint, `k`/`area` the scan's
+  // own forward cursor over S.  The G(u_k) are non-decreasing, so the
+  // cursor only moves forward (time_of_bits semantics, incrementalized).
+  std::size_t pk = 0;
+  std::size_t k = 0;
+  Num area{0};
+  Num pre{};
+  bool has_pre = false;
 
   // Sweep the merged candidate list in time order.  `ak`/`aarea` form the
   // arrival cursor (A(t)), `dk` the departure cursor over G; both only
@@ -234,14 +219,46 @@ std::optional<Num> delay_bound_segments(
   const std::size_t glast = gp.size() - 1;
   Num best{0};
   std::size_t si = 0;
-  std::size_t pi = 0;
-  while (si < segs.size() || pi < pre.size()) {
+  bool past_peak = false;  // audit builds only: sweeping on after the stop
+  for (;;) {
+    // The next preimage, once the merge has taken the previous one.
+    while (!has_pre && pk < gp.size()) {
+      const Num& bits = gp[pk++].value;
+      has_pre = true;
+      if (bits <= Num(0)) {
+        pre = Num(0);
+        break;
+      }
+      while (k + 1 < segs.size()) {
+        const Num gained =
+            segs[k].rate * (segs[k + 1].start - segs[k].start);
+        if (area + gained >= bits) break;
+        area += gained;
+        ++k;
+      }
+      if (k + 1 < segs.size()) {
+        // rate > 0 here, or an earlier segment would already have
+        // accumulated `bits`.
+        pre = segs[k].start + (bits - area) / segs[k].rate;
+      } else if (segs[k].rate == Num(0)) {
+        // A candidate only if the stream ever produces that much demand.
+        // The tolerance can only add one, at a real time whose delay is a
+        // true value of D, so it errs toward a larger bound.
+        has_pre = NumTraits<Num>::kExact
+                      ? (area >= bits)
+                      : NumTraits<Num>::nearly_leq(bits, area);
+        pre = segs[k].start;
+      } else {
+        pre = segs[k].start + (bits - area) / segs[k].rate;
+      }
+    }
     Num t{};
-    if (pi >= pre.size() ||
-        (si < segs.size() && !(pre[pi] < segs[si].start))) {
+    if (!has_pre || (si < segs.size() && !(pre < segs[si].start))) {
+      if (si == segs.size()) break;
       t = segs[si++].start;
     } else {
-      t = pre[pi++];
+      t = pre;
+      has_pre = false;
     }
     // A(t), incrementally.
     while (ak + 1 < segs.size() && segs[ak + 1].start <= t) {
@@ -262,12 +279,26 @@ std::optional<Num> delay_bound_segments(
                (excess > Num(0) ? excess / gp[glast].capacity : Num(0));
     } else {
       // Saturated tail: rare, delegate to the reference scan (which ends
-      // in the lower inverse when the demand is exactly served).
+      // in the lower inverse when the demand is exactly served).  G is
+      // then zero throughout, so the stop below never fired.
       const auto served = g.departure(a);
       if (!served.has_value()) return std::nullopt;  // demand never served
       depart = *served;
     }
-    if (depart - t > best) best = depart - t;
+    const Num delay = depart - t;
+    if (past_peak) {
+      RTCAC_INVARIANT_AUDIT(NumTraits<Num>::nearly_leq(delay, best),
+                            "delay_bound: a candidate after the stop "
+                            "exceeds the concave peak");
+      continue;
+    }
+    if (delay > best) best = delay;
+    // D'(t+) = r/c - 1 <= 0: D has peaked.  Two stored numbers compared;
+    // c is the capacity where t's bits depart, not where they arrive.
+    if (gp[dk].capacity > Num(0) && segs[ak].rate <= gp[dk].capacity) {
+      if (!RTCAC_AUDIT_ENABLED) break;
+      past_peak = true;
+    }
   }
   return best;
 }

@@ -192,16 +192,19 @@ enum class FilterShape {
   kSmoothed,   ///< the raw smoothed segments were written to `out`
 };
 
-/// The link filter of Algorithm 3.4 (see `filter` below) over a segment
-/// span.  Writes to `out` only for kSmoothed, and then the canonical
-/// segments of the smoothed stream, emitted through CanonicalWriter (the
-/// post-drain rate may coalesce into the link rate 1).
+/// The link filter of Algorithm 3.4 (see `filter` below) over a canonical
+/// segment span.  Writes to `out` only for kSmoothed, and then the
+/// canonical segments of the smoothed stream: the link rate 1, the
+/// resumed rate through CanonicalWriter (it may coalesce into the 1), and
+/// the input's later segments copied as they are.
 template <typename Num>
 [[nodiscard]] FilterShape smooth_segments(SegmentSpan<Num> segs,
                                           const Num& initial_backlog,
                                           std::vector<BasicSegment<Num>>& out) {
   RTCAC_REQUIRE(!(initial_backlog < Num(0)),
                 "filter: negative initial backlog");
+  RTCAC_INVARIANT_AUDIT(BasicBitStream<Num>::segments_canonical(segs),
+                        "filter: input must be a canonical stream");
   // Fast path: nothing to smooth.
   if (initial_backlog == Num(0) && segs.front().rate <= Num(1)) {
     return FilterShape::kUnchanged;
@@ -265,9 +268,12 @@ template <typename Num>
     ++resume;
   }
   emit.push(segs[resume].rate, *drain_time);
-  for (std::size_t k = resume + 1; k < segs.size(); ++k) {
-    emit.push(segs[k].rate, segs[k].start);
-  }
+  // The rest is canonical already and cannot coalesce or snap: its rates
+  // fall exactly and by more than the tolerance from segment to segment,
+  // the resumed rate is below 1, and a rate below a resumed rate within
+  // the tolerance of 1 lies more than the tolerance below 1.
+  const SegmentSpan<Num> tail = segs.subspan(resume + 1);
+  out.insert(out.end(), tail.begin(), tail.end());
   return FilterShape::kSmoothed;
 }
 

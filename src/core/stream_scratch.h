@@ -25,7 +25,7 @@
 //     fills its caches lazily, in the middle of a check — without either
 //     clobbering the other.  Buffers live in a deque, so lending a new
 //     one never moves an old one.
-//   * The leaf buffers (merge_cursors, service_curve, preimages) belong to
+//   * The leaf buffers (merge_cursors, service_curve) belong to
 //     one kernel call that calls out to nothing: no view accessor, no
 //     other kernel.  Those calls cannot nest, so one set per thread
 //     suffices.  Each kernel clears what it uses on entry.
@@ -114,9 +114,8 @@ class StreamScratch {
 
   // Leaf buffer of the k-way merge (stream_ops.h).
   std::vector<MergeCursor<Num>> merge_cursors;
-  // Leaf buffers of the delay bound (delay_bound.h).
+  // Leaf buffer of the delay bound (delay_bound.h).
   std::vector<ServicePoint<Num>> service_curve;
-  std::vector<Num> preimages;
 
  private:
   StreamScratch() = default;

@@ -187,9 +187,11 @@ std::size_t AdmissionEngine::speculative_checks(
       std::this_thread::yield();
     }
   } else {
+    // Serial: stop at the first rejection, as the PathEvaluator walk does.
     for (std::size_t h = 0; h < specs.size(); ++h) {
       results[h] = cac_.check_hop(
           specs[h], stamps != nullptr ? &(*stamps)[h] : nullptr);
+      if (!results[h].admitted) return h;
     }
   }
   for (std::size_t h = 0; h < specs.size(); ++h) {

@@ -247,7 +247,9 @@ class AdmissionEngine {
   /// Returns the index of the first rejecting hop (kNoTarget when all
   /// admit) and fills `results`; when `stamps` is non-null it receives
   /// the per-hop version witnesses admit_path validates at commit time
-  /// (validate-on-commit: unchanged hops reuse their verdicts).
+  /// (validate-on-commit: unchanged hops reuse their verdicts).  Run
+  /// serially, the checks stop at the first rejecting hop, and the
+  /// entries after it stay default-constructed.
   std::size_t speculative_checks(
       const std::vector<ConcurrentCac::HopSpec>& specs,
       std::vector<HopVerdict>& results,

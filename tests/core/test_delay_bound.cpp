@@ -7,9 +7,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <optional>
+#include <vector>
 
 #include "core/stream_ops.h"
 #include "core/traffic.h"
+#include "util/xorshift.h"
 
 namespace rtcac {
 namespace {
@@ -184,6 +190,244 @@ TEST(DelayBoundExact, UnboundedAtStrictOverload) {
   const ExactBitStream s{{Rational(3), Rational(0)},
                          {Rational(101, 100), Rational(1)}};
   EXPECT_FALSE(delay_bound(s, ExactBitStream{}).has_value());
+}
+
+// --- the sweep's stop at the concave peak -----------------------------------
+//
+// The sweep ends at the first candidate after which D(t) cannot rise
+// (core/delay_bound.h); delay_bound_reference still scans every
+// candidate, so the two must agree.
+
+template <typename Num>
+BasicBitStream<Num> envelope(const TrafficDescriptor& td);
+template <>
+BitStream envelope<double>(const TrafficDescriptor& td) {
+  return td.to_bitstream();
+}
+template <>
+ExactBitStream envelope<Rational>(const TrafficDescriptor& td) {
+  return td.to_exact_bitstream(32);
+}
+
+/// One in-port's cell, built as the check builds it: one to three CBR or
+/// VBR connections (rates in 32nds), each distorted by Alg. 3.1 for an
+/// upstream CDV, multiplexed, then filtered by the in-link.
+template <typename Num>
+BasicBitStream<Num> random_cell(Xorshift& rng) {
+  BasicBitStream<Num> cell;
+  const std::uint64_t connections = 1 + rng.below(3);
+  for (std::uint64_t c = 0; c < connections; ++c) {
+    const std::uint64_t pcr = 1 + rng.below(16);
+    const std::uint64_t scr = 1 + rng.below(std::min<std::uint64_t>(pcr, 4));
+    const TrafficDescriptor td =
+        rng.below(3) == 0
+            ? TrafficDescriptor::cbr(static_cast<double>(pcr) / 32)
+            : TrafficDescriptor::vbr(static_cast<double>(pcr) / 32,
+                                     static_cast<double>(scr) / 32,
+                                     static_cast<std::uint32_t>(
+                                         2 + rng.below(15)));
+    const Num cdv(static_cast<std::int64_t>(rng.below(4) * 8));
+    cell = multiplex(cell, delay(envelope<Num>(td), cdv));
+  }
+  return filter(cell);
+}
+
+/// A queue's offered aggregate (one to three in-port cells) and the
+/// filtered aggregate of the traffic above it (none to two cells).
+template <typename Num>
+struct CheckInputs {
+  BasicBitStream<Num> offered;
+  BasicBitStream<Num> hp_filtered;
+};
+
+template <typename Num>
+CheckInputs<Num> random_check_inputs(std::uint64_t seed) {
+  Xorshift rng(seed * 7919 + 17);
+  CheckInputs<Num> in;
+  for (std::uint64_t i = 0, n = 1 + rng.below(3); i < n; ++i) {
+    in.offered = multiplex(in.offered, random_cell<Num>(rng));
+  }
+  BasicBitStream<Num> hp;
+  for (std::uint64_t i = 0, n = rng.below(3); i < n; ++i) {
+    hp = multiplex(hp, random_cell<Num>(rng));
+  }
+  in.hp_filtered = filter(hp);
+  return in;
+}
+
+TEST(DelayBoundStop, MatchesFullScanOnCheckShapedInputsDouble) {
+  std::size_t bounded = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto in = random_check_inputs<double>(seed);
+    const auto got = delay_bound(in.offered, in.hp_filtered);
+    const auto want = delay_bound_reference(in.offered, in.hp_filtered);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got.has_value()) continue;
+    ++bounded;
+    EXPECT_TRUE(NumTraits<double>::nearly_equal(*got, *want))
+        << *got << " vs " << *want;
+  }
+  EXPECT_GT(bounded, 250u);
+}
+
+TEST(DelayBoundStop, MatchesFullScanOnCheckShapedInputsExact) {
+  std::size_t bounded = 0;
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto in = random_check_inputs<Rational>(seed);
+    const auto got = delay_bound(in.offered, in.hp_filtered);
+    const auto want = delay_bound_reference(in.offered, in.hp_filtered);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got.has_value()) continue;
+    ++bounded;
+    EXPECT_EQ(*got, *want);
+  }
+  EXPECT_GT(bounded, 250u);
+}
+
+/// delay_bound on a hand-built case, in both scalars, against its known
+/// value and against the full scan.  The double engine must land on the
+/// same value exactly.
+void expect_bound(std::initializer_list<ExactSegment> s,
+                  std::initializer_list<ExactSegment> hp,
+                  std::optional<Rational> expected) {
+  const ExactBitStream es(s);
+  const ExactBitStream ehp(hp);
+  EXPECT_EQ(delay_bound(es, ehp), expected);
+  EXPECT_EQ(delay_bound_reference(es, ehp), expected);
+  std::vector<Segment> ds;
+  for (const ExactSegment& seg : es.segments()) {
+    ds.push_back(Segment{seg.rate.to_double(), seg.start.to_double()});
+  }
+  std::vector<Segment> dhp;
+  for (const ExactSegment& seg : ehp.segments()) {
+    dhp.push_back(Segment{seg.rate.to_double(), seg.start.to_double()});
+  }
+  const BitStream dbl_s(std::move(ds));
+  const BitStream dbl_hp(std::move(dhp));
+  const std::optional<double> want =
+      expected.has_value() ? std::optional<double>(expected->to_double())
+                           : std::nullopt;
+  EXPECT_EQ(delay_bound(dbl_s, dbl_hp), want);
+  EXPECT_EQ(delay_bound_reference(dbl_s, dbl_hp), want);
+}
+
+TEST(DelayBoundStop, PlateauWhereArrivalRateEqualsCapacity) {
+  // Capacity 1/2 throughout.  D = 2A(t) - t rises to 4 at t = 2, stays 4
+  // while arrivals run at exactly 1/2 (the stop fires at t = 2), then
+  // falls.
+  expect_bound({{Rational(3, 2), Rational(0)},
+                {Rational(1, 2), Rational(2)},
+                {Rational(1, 4), Rational(6)}},
+               {{Rational(1, 2), Rational(0)}}, Rational(4));
+}
+
+TEST(DelayBoundStop, PeakAtTimeZeroBehindSaturatingStart) {
+  // The higher priority holds the link for [0, 10): the first bit leaves
+  // at 10, and arrivals at 2/5 < capacity 1/2 only shrink the delay.  The
+  // sweep stops at its first candidate; t = 20 would give D = 6.
+  expect_bound({{Rational(2, 5), Rational(0)}, {Rational(1, 5), Rational(20)}},
+               {{Rational(1), Rational(0)}, {Rational(1, 2), Rational(10)}},
+               Rational(10));
+}
+
+TEST(DelayBoundStop, PeakAtTheLastCandidate) {
+  // Unit capacity: D rises through t = 4 (D = 4) to t = 6 (D = 5), the
+  // last breakpoint, and is flat after it.
+  expect_bound({{Rational(2), Rational(0)},
+                {Rational(3, 2), Rational(4)},
+                {Rational(1), Rational(6)}},
+               {{Rational(0), Rational(0)}}, Rational(5));
+  // Capacity 1/2 until 10, then 1: the peak is the last candidate, the
+  // preimage t = 25/4 of G(10) = 5, where the bits depart at 10.
+  expect_bound({{Rational(4, 5), Rational(0)}},
+               {{Rational(1, 2), Rational(0)}, {Rational(0), Rational(10)}},
+               Rational(15, 4));
+}
+
+TEST(DelayBoundStop, ZeroServiceWithZeroDemand) {
+  // G = 0: no capacity anywhere, so the stop never fires; zero demand is
+  // served at once and any positive demand never.
+  expect_bound({{Rational(0), Rational(0)}}, {{Rational(1), Rational(0)}},
+               Rational(0));
+  expect_bound({{Rational(1, 2), Rational(0)}, {Rational(0), Rational(1)}},
+               {{Rational(1), Rational(0)}}, std::nullopt);
+}
+
+/// A Rational that counts the arithmetic done on it: the number of
+/// operations the sweep spends, whatever they are.
+struct Counted {
+  static inline std::size_t ops = 0;
+  Rational v;
+
+  Counted() = default;
+  Counted(std::int64_t x) : v(x) {}  // NOLINT(google-explicit-constructor)
+  Counted(Rational x) : v(x) {}      // NOLINT(google-explicit-constructor)
+
+  friend Counted operator+(const Counted& a, const Counted& b) {
+    ++ops;
+    return a.v + b.v;
+  }
+  friend Counted operator-(const Counted& a, const Counted& b) {
+    ++ops;
+    return a.v - b.v;
+  }
+  friend Counted operator*(const Counted& a, const Counted& b) {
+    ++ops;
+    return a.v * b.v;
+  }
+  friend Counted operator/(const Counted& a, const Counted& b) {
+    ++ops;
+    return a.v / b.v;
+  }
+  Counted& operator+=(const Counted& b) {
+    ++ops;
+    v += b.v;
+    return *this;
+  }
+  friend bool operator==(const Counted& a, const Counted& b) {
+    return a.v == b.v;
+  }
+  friend bool operator<(const Counted& a, const Counted& b) {
+    return a.v < b.v;
+  }
+  friend bool operator>(const Counted& a, const Counted& b) {
+    return a.v > b.v;
+  }
+  friend bool operator<=(const Counted& a, const Counted& b) {
+    return a.v <= b.v;
+  }
+  friend bool operator>=(const Counted& a, const Counted& b) {
+    return a.v >= b.v;
+  }
+};
+
+TEST(DelayBoundStop, WorkEndsAtThePeak) {
+  if (RTCAC_AUDIT_ENABLED) {
+    GTEST_SKIP() << "audit builds sweep past the stop to check it";
+  }
+  // Capacity 1/10 until 100, then 1.  A burst of 20 bits in one cell time
+  // departs at 110: D(1) = 109 is the peak, and from t = 1 on the
+  // arrivals (rate 1/2 and less) are slower than the service their bits
+  // get.  Each of the `tail` later segments runs above the capacity 1/10
+  // in force at its own time, which is not the capacity that serves it.
+  const auto ops_with_tail = [](std::int64_t tail) {
+    std::vector<BasicSegment<Counted>> s{{Rational(20), Rational(0)}};
+    for (std::int64_t j = 0; j < tail; ++j) {
+      s.push_back({Rational(200 - j, 400), Rational(1 + j)});
+    }
+    s.push_back({Rational(0), Rational(1 + tail)});
+    const std::vector<BasicSegment<Counted>> hp{
+        {Rational(9, 10), Rational(0)}, {Rational(0), Rational(100)}};
+    Counted::ops = 0;
+    const auto bound = detail::delay_bound_segments<Counted>(s, hp);
+    EXPECT_TRUE(bound.has_value() && bound->v == Rational(109));
+    return Counted::ops;
+  };
+  const std::size_t short_tail = ops_with_tail(4);
+  EXPECT_EQ(ops_with_tail(40), short_tail);
+  EXPECT_EQ(ops_with_tail(160), short_tail);
 }
 
 }  // namespace

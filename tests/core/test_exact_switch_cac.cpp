@@ -114,6 +114,41 @@ TEST(ExactSwitchCac, DoubleEngineRejectsLoadJustAboveOne) {
   }
 }
 
+// A saturated link serves no positive demand.  In-port 0 holds the
+// whole link at priority 0, and in-port 1 checks, at priority 1, a burst
+// at rate 1/2 lasting 1e-10 to 1e-9 cell times.  Its bits never leave,
+// so both engines must reject it as unbounded.  The double engine used
+// to count up to 1e-9 bits as served by the saturated link and admitted
+// every such burst with a bound of 0.
+TEST(ExactSwitchCac, DoubleEngineServesNoDemandOnASaturatedLink) {
+  SwitchCac::Config dcfg;
+  dcfg.in_ports = 2;
+  dcfg.out_ports = 1;
+  dcfg.priorities = 2;
+  ExactSwitchCac::Config ecfg;
+  ecfg.in_ports = 2;
+  ecfg.out_ports = 1;
+  ecfg.priorities = 2;
+  SwitchCac dbl(dcfg);
+  ExactSwitchCac exact(ecfg);
+  dbl.add(1, 0, 0, 0, BitStream::constant(1.0));
+  exact.add(1, 0, 0, 0, ExactBitStream::constant(Rational(1)));
+  for (std::int64_t k = 1; k <= 10; ++k) {
+    const double width = static_cast<double>(k) * 1e-10;
+    const auto d_check =
+        dbl.check(1, 0, 1, BitStream{{0.5, 0.0}, {0.0, width}});
+    const auto e_check = exact.check(
+        1, 0, 1,
+        ExactBitStream{{Rational(1, 2), Rational(0)},
+                       {Rational(0), Rational(k, 10'000'000'000)}});
+    EXPECT_FALSE(e_check.admitted) << "k = " << k;
+    EXPECT_EQ(d_check.admitted, e_check.admitted) << "k = " << k;
+    EXPECT_EQ(d_check.bound_at_priority.has_value(),
+              e_check.bound_at_priority.has_value())
+        << "k = " << k;
+  }
+}
+
 TEST(ExactSwitchCac, RemoveRestoresExactState) {
   ExactSwitchCac cac(exact_config(Rational(32)));
   cac.add(1, 0, 0, 0, third_cbr());
