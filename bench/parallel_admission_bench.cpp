@@ -475,7 +475,10 @@ int run(bool smoke, const std::string& out_path,
   const Net net = make_net();
   const Net wide = make_wide_net();
   const ConnectionManager::Params params = make_params();
-  const std::size_t ops = smoke ? 48 : 1200;
+  // 24,000 ops per full-run workload: each bitstream row then lasts
+  // 0.14-0.53 s on a 4-vCPU VM (peak-policy rows 40-140 ms), long enough
+  // for thread scaling to show above scheduler noise.
+  const std::size_t ops = smoke ? 48 : 24000;
   const std::vector<std::size_t> thread_counts =
       smoke ? std::vector<std::size_t>{1, 2}
             : std::vector<std::size_t>{1, 2, 4, 8};

@@ -5,11 +5,8 @@
 // SharedLock/ExclusiveLock RAII guard on that shard's mutex; the only
 // multi-shard paths are admit_path and renegotiate_path, which go
 // through the ShardLockSet scoped capability.  The snapshot fast path
-// takes no shard lock at all
-// — it synchronizes through each slot's atomic shared_ptr and validates
-// version stamps — and reader-side refresh nests the slot's
-// refresh_mutex *outside* the shard's shared lock (writers never take a
-// refresh mutex, so the edge is one-way).  The
+// takes no shard lock at all — it synchronizes through each slot's
+// publication cell and validates version stamps.  The
 // RTCAC_NO_THREAD_SAFETY_ANALYSIS escapes in this file (ShardLockSet's
 // constructor/destructor/point/both stamp_current overloads/
 // publish_epoch) plus the two
@@ -29,14 +26,7 @@
 namespace rtcac {
 
 ConcurrentCac::ConcurrentCac(const CacPolicy& policy,
-                             const std::vector<PointConfig>& configs)
-    : ConcurrentCac(policy, configs, Options{}) {}
-
-ConcurrentCac::ConcurrentCac(const CacPolicy& policy,
-                             const std::vector<PointConfig>& configs,
-                             const Options& options)
-    : publish_window_(options.publish_window == 0 ? 1
-                                                  : options.publish_window) {
+                             const std::vector<PointConfig>& configs) {
   shards_.reserve(configs.size());
   for (const PointConfig& config : configs) {
     // Prime before the point is published into a Shard: afterwards the
@@ -84,12 +74,8 @@ std::vector<PointConfig> to_point_configs(
 }  // namespace
 
 ConcurrentCac::ConcurrentCac(const std::vector<SwitchCac::Config>& configs)
-    : ConcurrentCac(configs, Options{}) {}
-
-ConcurrentCac::ConcurrentCac(const std::vector<SwitchCac::Config>& configs,
-                             const Options& options)
-    : ConcurrentCac(BitstreamCacPolicy::instance(), to_point_configs(configs),
-                    options) {}
+    : ConcurrentCac(BitstreamCacPolicy::instance(),
+                    to_point_configs(configs)) {}
 
 ConcurrentCac::Shard& ConcurrentCac::shard_at(std::size_t shard) const {
   if (shard >= shards_.size()) {
@@ -159,14 +145,12 @@ bool ConcurrentCac::stamp_matches(const Shard& s, const CheckStamp& stamp,
   return true;
 }
 
-void ConcurrentCac::rebuild_published_locked(const Shard& s,
-                                             std::size_t out_port) const {
-  OutSlot& slot = s.slots[out_port];
-  const std::shared_ptr<const Published> prev =
-      slot.snap.load();
-  // The lock (shared suffices) freezes the version counters — writers
-  // advance them only under the exclusive lock — so this publication's
-  // embedded stamps exactly describe the state being exported.
+void ConcurrentCac::rebuild_published_locked(Shard& s, std::size_t out_port) {
+  PublishedCell& slot = s.slots[out_port];
+  const std::shared_ptr<const Published> prev = slot.load();
+  // The exclusive lock freezes the version counters, so this
+  // publication's embedded stamps exactly describe the state being
+  // exported.
   std::vector<std::uint64_t> versions(s.priorities);
   std::vector<std::size_t> stale;
   for (std::size_t p = 0; p < s.priorities; ++p) {
@@ -180,24 +164,9 @@ void ConcurrentCac::rebuild_published_locked(const Shard& s,
   if (prev != nullptr && stale.empty()) return;  // already current
   std::shared_ptr<const PointSnapshot> state = s.cac->export_point_snapshot(
       out_port, prev != nullptr ? prev->state.get() : nullptr, stale);
-  if (state == nullptr) return;  // policy declined (snapshots disabled)
-  slot.snap.store(std::make_shared<const Published>(
+  if (state == nullptr) return;  // policy declined: readers take the lock
+  slot.store(std::make_shared<const Published>(
       Published{std::move(versions), std::move(state)}));
-}
-
-void ConcurrentCac::refresh_snapshot(std::size_t shard, Shard& s,
-                                     std::size_t out_port) const {
-  OutSlot& slot = s.slots[out_port];
-  // refresh_mutex serializes concurrent refreshers of one slot; the
-  // shared lock excludes writers for the duration of the rebuild.  A
-  // writer publication racing ahead of this one is harmless: the store
-  // below happens under the shared lock, which no writer can interleave
-  // with, so a fresher publication is never overwritten by a staler
-  // one.
-  const MutexLock refresh(slot.refresh_mutex);
-  const LockOrderAudit::Scope audit(shard);
-  const SharedLock lock(s.mutex);
-  rebuild_published_locked(s, out_port);
 }
 
 void ConcurrentCac::commit_epoch_locked(Shard& s) {
@@ -207,52 +176,31 @@ void ConcurrentCac::commit_epoch_locked(Shard& s) {
   s.cac->prime();
   const std::size_t queues = s.out_ports * s.priorities;
   if (queues == 0) return;
-  bool any = false;
-  if (dirty.has_value()) {
-    for (const std::size_t key : *dirty) {
-      RTCAC_ASSERT(key < queues,
-                   "ConcurrentCac: dirty queue key out of range");
-      s.point_versions[key].fetch_add(1, std::memory_order_release);
-      if (s.snapshots_enabled) s.stale_outs[key / s.priorities] = 1;
-      any = true;
-    }
-  } else {
+  if (!dirty.has_value()) {
     // Policy cannot attribute the mutations: advance every queue.
     for (std::size_t key = 0; key < queues; ++key) {
       s.point_versions[key].fetch_add(1, std::memory_order_release);
     }
-    if (s.snapshots_enabled) {
-      std::fill(s.stale_outs.begin(), s.stale_outs.end(), 1);
+    if (!s.snapshots_enabled) return;
+    for (std::size_t out = 0; out < s.out_ports; ++out) {
+      rebuild_published_locked(s, out);
     }
-    any = true;
+    return;
   }
-  if (!any || !s.snapshots_enabled) return;
-  if (++s.commits_since_publish < publish_window_) return;  // batch
-  publish_stale_locked(s);
-}
-
-std::size_t ConcurrentCac::publish_stale_locked(Shard& s) {
-  std::size_t published = 0;
-  for (std::size_t out = 0; out < s.out_ports; ++out) {
-    if (s.stale_outs[out] == 0) continue;
-    rebuild_published_locked(s, out);
-    s.stale_outs[out] = 0;
-    ++published;
+  for (const std::size_t key : *dirty) {
+    RTCAC_ASSERT(key < queues, "ConcurrentCac: dirty queue key out of range");
+    s.point_versions[key].fetch_add(1, std::memory_order_release);
   }
-  s.commits_since_publish = 0;
-  return published;
-}
-
-std::size_t ConcurrentCac::publish_snapshots() {
-  std::size_t published = 0;
-  for (std::size_t shard = 0; shard < shards_.size(); ++shard) {
-    Shard& s = *shards_[shard];
-    if (!s.snapshots_enabled) continue;
-    const LockOrderAudit::Scope audit(shard);
-    const ExclusiveLock lock(s.mutex);
-    published += publish_stale_locked(s);
+  if (!s.snapshots_enabled) return;
+  // Republish only after every counter moved, so each publication's
+  // stamps are final.  Keys of one out-port are adjacent, and a repeat
+  // of an already-republished out-port would be a no-op anyway.
+  std::size_t last = s.out_ports;
+  for (const std::size_t key : *dirty) {
+    const std::size_t out = key / s.priorities;
+    if (out != last) rebuild_published_locked(s, out);
+    last = out;
   }
-  return published;
 }
 
 // --- ShardLockSet: the canonical multi-shard acquisition --------------------
@@ -364,24 +312,19 @@ HopVerdict ConcurrentCac::check_hop(const HopSpec& hop,
   Shard& s = shard_at(hop.shard);
   if (s.snapshots_enabled && hop.out_port < s.out_ports &&
       hop.priority < s.priorities) {
-    OutSlot& slot = s.slots[hop.out_port];
-    // Bounded optimism: a stale slot is self-refreshed once; if the
-    // state is still moving after that, the shared lock settles it.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const std::shared_ptr<const Published> pub =
-          slot.snap.load();
-      if (pub != nullptr &&
-          snapshot_current(s, *pub, hop.out_port, hop.priority)) {
-        if (stamp != nullptr) {
-          *stamp = CheckStamp{hop.shard, hop.out_port, hop.priority,
-                              pub->versions};
-        }
-        // Zero lock traffic: the pinned snapshot is immutable, and its
-        // validated stamps prove it equals the live state.
-        return pub->state->check(hop.in_port, hop.priority, hop.arrival);
+    const std::shared_ptr<const Published> pub = s.slots[hop.out_port].load();
+    if (pub != nullptr &&
+        snapshot_current(s, *pub, hop.out_port, hop.priority)) {
+      if (stamp != nullptr) {
+        *stamp = CheckStamp{hop.shard, hop.out_port, hop.priority,
+                            pub->versions};
       }
-      refresh_snapshot(hop.shard, s, hop.out_port);
+      // Zero lock traffic: the pinned snapshot is immutable, and its
+      // validated stamps prove it equals the live state.
+      return pub->state->check(hop.in_port, hop.priority, hop.arrival);
     }
+    // Stale: a writer is mid-commit on this shard, or the policy
+    // declined the export.  The shared lock below settles it.
   }
   const LockOrderAudit::Scope audit(hop.shard);
   const SharedLock lock(s.mutex);

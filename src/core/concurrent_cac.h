@@ -27,22 +27,19 @@
 //     shared_ptr reference counting — a reader that pinned a snapshot
 //     keeps it alive across any number of newer publications.
 //
-//   * Locked fallback: when the stamps are stale, the reader first
-//     self-refreshes the slot (publishing a fresh snapshot under the
-//     slot's refresh mutex + the shard's *shared* lock — writers are
-//     excluded, so the versions it freezes are exact), and only if the
-//     state keeps moving falls back to a classic shared-lock check.
-//     Policies that export no snapshots always take this path, which is
-//     exactly the pre-snapshot behaviour.
+//   * Locked fallback: a reader whose slot is stale checks under the
+//     shard's *shared* lock.  Every commit republishes before it
+//     releases the exclusive lock, so a slot is stale only while a
+//     writer is mid-commit on that shard (the shared lock waits it out)
+//     or when the policy declined the export.  Policies that export no
+//     snapshots always take this path, which is exactly the
+//     pre-snapshot behaviour.
 //
 //   * admit()/remove()/reclaim()/drain_removals() take the lock
 //     *exclusive*; each commit epilogue (commit_epoch) reads the
 //     policy's dirty-queue set, re-primes the caches, advances the
 //     per-queue version counters, and republishes the affected
-//     out-ports' snapshots.  Options::publish_window batches the
-//     republication: within a window only versions advance (readers
-//     self-refresh or fall back), and one publication amortizes the
-//     whole window's exports.
+//     out-ports' snapshots before the lock drops.
 //
 // admit() remains the commit half of a two-phase check-then-commit, now
 // with validate-on-commit: a speculative check returns a CheckStamp, and
@@ -82,12 +79,10 @@
 // std::atomic<std::shared_ptr> is not used) and never touch the
 // mutable state at all.  Different shards share no mutable state.
 //
-// Lock order: the only lock ever held while acquiring a shard lock is
-// an OutSlot::refresh_mutex, taken by *readers* (self-refresh) before
-// the shard's shared lock; writers never touch a refresh mutex, so the
-// refresh-mutex -> shard-lock edge is one-way and cycle-free
-// (util/lock_order.h).  Multi-shard acquisition is confined to the
-// ShardLockSet scoped capability (ascending shard ids, audited).
+// Lock order: no lock is held while a shard lock is acquired, except the
+// lower-numbered shard locks of a ShardLockSet — the scoped capability
+// that confines multi-shard acquisition (ascending shard ids, audited by
+// util/lock_order.h).
 //
 // The lock discipline above is machine-checked (docs/STATIC_ANALYSIS.md):
 // shard state carries clang thread-safety annotations
@@ -97,9 +92,8 @@
 // the ascending-shard runtime order in audit builds.
 //
 // Concurrency primitives are confined to this module, to
-// util/thread_annotations.h, util/thread_pool.h and
-// net/admission_engine.* by the `concurrency-state` lint rule
-// (tools/rtcac_lint.py).
+// util/thread_annotations.h and net/admission_engine.* by the
+// `concurrency-state` lint rule (tools/rtcac_lint.py).
 
 #pragma once
 
@@ -122,18 +116,6 @@ class ConcurrentCac {
  public:
   using Stream = SwitchCac::Stream;
   using CheckResult = SwitchCac::CheckResult;
-
-  /// Publication tuning.
-  struct Options {
-    /// Commits per shard between snapshot republications.  1 (the
-    /// default) publishes eagerly after every commit; a window of N
-    /// advances version stamps on every commit but exports snapshots
-    /// only on every Nth, so a setup burst pays one export.  Readers
-    /// in between self-refresh (or fall back to the shared lock), so
-    /// correctness is unaffected — this trades read-path lock traffic
-    /// against export amortization.  0 behaves as 1.
-    std::size_t publish_window = 1;
-  };
 
   /// One queueing point of a multi-shard path: which shard (switch) the
   /// hop crosses and how the connection is routed through it.  The
@@ -230,9 +212,8 @@ class ConcurrentCac {
                                      Priority floor) const;
 
     /// Commit epilogue for a locked shard that was mutated: advance the
-    /// dirty queues' version stamps, re-prime, and (publish window
-    /// permitting) republish the affected snapshots.  Asserts
-    /// membership.
+    /// dirty queues' version stamps, re-prime, and republish the
+    /// affected snapshots.  Asserts membership.
     void publish_epoch(std::size_t shard) const;
 
    private:
@@ -245,14 +226,9 @@ class ConcurrentCac {
   /// all snapshots published (when the policy exports them).
   ConcurrentCac(const CacPolicy& policy,
                 const std::vector<PointConfig>& configs);
-  ConcurrentCac(const CacPolicy& policy,
-                const std::vector<PointConfig>& configs,
-                const Options& options);
 
   /// Bit-stream-policy convenience: one SwitchCac shard per config.
   explicit ConcurrentCac(const std::vector<SwitchCac::Config>& configs);
-  ConcurrentCac(const std::vector<SwitchCac::Config>& configs,
-                const Options& options);
 
   ConcurrentCac(const ConcurrentCac&) = delete;
   ConcurrentCac& operator=(const ConcurrentCac&) = delete;
@@ -285,10 +261,11 @@ class ConcurrentCac {
                                  double cdv) const;
 
   /// Trial admission.  Snapshot-publishing policies evaluate against
-  /// the point's published snapshot with zero lock traffic (validating
-  /// its version stamps, self-refreshing on staleness); other policies
-  /// check under the shard's shared lock.  When `stamp` is non-null it
-  /// receives the version witness admit_path() can later validate.
+  /// the point's published snapshot with zero lock traffic when its
+  /// version stamps validate; a stale snapshot, and every check of a
+  /// policy without snapshots, runs under the shard's shared lock.
+  /// When `stamp` is non-null it receives the version witness
+  /// admit_path() can later validate.
   [[nodiscard]] HopVerdict check_hop(const HopSpec& hop,
                                      CheckStamp* stamp = nullptr) const;
 
@@ -351,12 +328,6 @@ class ConcurrentCac {
   void queue_remove(std::size_t shard, ConnectionId id);
   std::size_t drain_removals();
   [[nodiscard]] std::size_t pending_removals() const;
-
-  /// Publishes every shard's deferred snapshots now (exclusive lock per
-  /// shard with a stale slot).  Use after a batch of commits under a
-  /// publish_window > 1 to restore the lock-free read path at once;
-  /// returns the number of out-port slots republished.
-  std::size_t publish_snapshots();
 
   /// Lease sweep of one shard / all shards (exclusive lock per shard).
   std::vector<ConnectionId> reclaim(std::size_t shard, double now);
@@ -434,19 +405,6 @@ class ConcurrentCac {
     std::shared_ptr<const Published> value_;  // guarded by busy_
   };
 
-  /// Per-out-port publication slot.  `snap` is the atomically swapped
-  /// current publication; `refresh_mutex` serializes reader-side
-  /// self-refresh (held while acquiring the shard's *shared* lock —
-  /// writers never take it, so the edge cannot cycle with the shard
-  /// lock order; see util/lock_order.h).
-  struct OutSlot {
-    Mutex refresh_mutex;
-    // rtcac-lint: allow(guarded-by) — PublishedCell is itself the
-    // synchronization primitive (internal spin bit); refresh_mutex
-    // only serializes refreshers, it does not guard the cell.
-    PublishedCell snap;
-  };
-
   struct Shard {
     Shard(std::unique_ptr<PolicyCac> point, std::size_t out_ports_,
           std::size_t priorities_, bool snapshots)
@@ -456,8 +414,7 @@ class ConcurrentCac {
           snapshots_enabled(snapshots),
           point_versions(std::make_unique<std::atomic<std::uint64_t>[]>(
               out_ports_ * priorities_)),
-          slots(snapshots ? out_ports_ : 0),
-          stale_outs(out_ports_, 0) {}
+          slots(snapshots ? out_ports_ : 0) {}
     mutable SharedMutex mutex;
     // The pointer is set once at construction; the *pointee* (the
     // shard's whole admission state) is what the lock guards.
@@ -481,16 +438,14 @@ class ConcurrentCac {
     // the exclusive lock).  A queue's counter moves exactly when a
     // commit invalidated its derived state.
     const std::unique_ptr<std::atomic<std::uint64_t>[]> point_versions;
-    // One publication slot per out-port (empty when the policy exports
-    // no snapshots).  Readers synchronize through each slot's atomic
-    // shared_ptr and refresh mutex, never through the shard lock.
-    // rtcac-lint: allow(guarded-by) — element synchronization is the
-    // slot's own atomic + refresh mutex; the vector itself is sized at
+    // One publication cell per out-port (empty when the policy exports
+    // no snapshots), stored only under the exclusive lock.  Readers
+    // synchronize through each cell's spin bit, never through the shard
+    // lock.
+    // rtcac-lint: allow(guarded-by) — each cell is its own
+    // synchronization primitive; the vector itself is sized at
     // construction and never reallocated.
-    mutable std::vector<OutSlot> slots;
-    // Publication batching bookkeeping (Options::publish_window).
-    std::size_t commits_since_publish RTCAC_GUARDED_BY(mutex) = 0;
-    std::vector<char> stale_outs RTCAC_GUARDED_BY(mutex);
+    std::vector<PublishedCell> slots;
   };
 
   [[nodiscard]] Shard& shard_at(std::size_t shard) const;
@@ -533,32 +488,21 @@ class ConcurrentCac {
 
   /// Rebuilds and publishes out-port `out_port`'s snapshot from the
   /// current (primed) state, structurally sharing every priority whose
-  /// version did not move.  Requires at least the shared lock, which
-  /// freezes the version counters (writers advance them exclusively),
-  /// so the stamps embedded in the publication are exact.  No-op when
-  /// the previous publication is already current.
-  void rebuild_published_locked(const Shard& s, std::size_t out_port) const
-      RTCAC_REQUIRES_SHARED(s.mutex);
-
-  /// Reader-side self-refresh of one slot: refresh_mutex (serializes
-  /// concurrent refreshers) then the shard's shared lock (excludes
-  /// writers), then rebuild_published_locked.
-  void refresh_snapshot(std::size_t shard, Shard& s,
-                        std::size_t out_port) const;
+  /// version did not move.  The exclusive lock freezes the version
+  /// counters, so the stamps embedded in the publication are exact.
+  /// No-op when the previous publication is already current.
+  static void rebuild_published_locked(Shard& s, std::size_t out_port)
+      RTCAC_REQUIRES(s.mutex);
 
   /// Commit epilogue, under the exclusive lock: read the policy's
   /// dirty-queue set (before prime() — priming clears it), re-prime,
   /// advance the dirty queues' version counters, and republish the
-  /// affected out-ports' snapshots (or defer within publish_window).
-  void commit_epoch_locked(Shard& s) RTCAC_REQUIRES(s.mutex);
-
-  /// Republishes every stale out-port slot of `s`; returns how many.
-  std::size_t publish_stale_locked(Shard& s) RTCAC_REQUIRES(s.mutex);
+  /// affected out-ports' snapshots.
+  static void commit_epoch_locked(Shard& s) RTCAC_REQUIRES(s.mutex);
 
   // unique_ptr: shared_mutex is neither movable nor copyable, and shard
   // addresses must stay stable while locks are held.
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t publish_window_ = 1;
 };
 
 }  // namespace rtcac

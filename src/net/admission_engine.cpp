@@ -70,29 +70,16 @@ void apply_reject(ConnectionManager::SetupResult& result, RejectReason reject,
 }  // namespace
 
 AdmissionEngine::AdmissionEngine(const Topology& topology,
-                                 const Params& params,
-                                 std::size_t pipeline_threads)
-    : AdmissionEngine(topology, params, BitstreamCacPolicy::instance(),
-                      pipeline_threads) {}
+                                 const Params& params)
+    : AdmissionEngine(topology, params, BitstreamCacPolicy::instance()) {}
 
 AdmissionEngine::AdmissionEngine(const Topology& topology,
-                                 const Params& params, const CacPolicy& policy,
-                                 std::size_t pipeline_threads)
-    : AdmissionEngine(topology, params, policy,
-                      Options{pipeline_threads, 1}) {}
-
-AdmissionEngine::AdmissionEngine(const Topology& topology,
-                                 const Params& params, const CacPolicy& policy,
-                                 const Options& options)
+                                 const Params& params, const CacPolicy& policy)
     : topology_(topology),
       params_(params),
       evaluator_(PathEvaluator::Params{params.priorities, params.cdv_policy,
                                        params.guarantee}),
-      cac_(policy, shard_configs(topology, params, shard_index_),
-           ConcurrentCac::Options{options.publish_window}),
-      pool_(options.pipeline_threads > 0
-                ? std::make_unique<ThreadPool>(options.pipeline_threads)
-                : nullptr) {
+      cac_(policy, shard_configs(topology, params, shard_index_)) {
   RTCAC_REQUIRE(params_.priorities >= 1,
                 "AdmissionEngine: priorities must be >= 1");
 }
@@ -172,29 +159,10 @@ std::size_t AdmissionEngine::speculative_checks(
     std::vector<ConcurrentCac::CheckStamp>* stamps) const {
   results.resize(specs.size());
   if (stamps != nullptr) stamps->resize(specs.size());
-  if (pool_ != nullptr && pool_->size() > 0 && specs.size() > 1) {
-    // Pipeline mode: the path's per-switch checks run concurrently,
-    // each against its shard's published snapshot (or shared lock).
-    std::atomic<std::size_t> remaining{specs.size()};
-    for (std::size_t h = 0; h < specs.size(); ++h) {
-      pool_->submit([this, &specs, &results, &remaining, stamps, h] {
-        results[h] = cac_.check_hop(
-            specs[h], stamps != nullptr ? &(*stamps)[h] : nullptr);
-        remaining.fetch_sub(1, std::memory_order_release);
-      });
-    }
-    while (remaining.load(std::memory_order_acquire) != 0) {
-      std::this_thread::yield();
-    }
-  } else {
-    // Serial: stop at the first rejection, as the PathEvaluator walk does.
-    for (std::size_t h = 0; h < specs.size(); ++h) {
-      results[h] = cac_.check_hop(
-          specs[h], stamps != nullptr ? &(*stamps)[h] : nullptr);
-      if (!results[h].admitted) return h;
-    }
-  }
+  // Stop at the first rejection, as the PathEvaluator walk does.
   for (std::size_t h = 0; h < specs.size(); ++h) {
+    results[h] = cac_.check_hop(specs[h],
+                                stamps != nullptr ? &(*stamps)[h] : nullptr);
     if (!results[h].admitted) return h;
   }
   return kNoHop;
@@ -212,8 +180,7 @@ AdmissionEngine::SetupResult AdmissionEngine::do_setup(
   const PathPlan plan = plan_path(request, route);
 
   // Phase one: speculative checks — lock-free against the published
-  // snapshots (or under shared locks), parallel across shards in
-  // pipeline mode.  A rejection here commits nothing.
+  // snapshots (or under shared locks).  A rejection here commits nothing.
   std::vector<HopVerdict> speculative;
   std::vector<ConcurrentCac::CheckStamp> stamps;
   const std::size_t rejecting =

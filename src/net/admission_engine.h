@@ -7,14 +7,13 @@
 // ConcurrentCac and exposes the same setup/teardown/reclaim vocabulary
 // ConnectionManager does, with the same decision semantics:
 //
-//   * setup() runs a speculative check of every queueing point first —
-//     lock-free against the shards' published snapshots for policies
-//     that export them, under shared shard locks otherwise, optionally
-//     fanned out across a ThreadPool so a multi-hop path's per-switch
-//     checks run in parallel ("pipeline mode") — and only then commits
-//     through ConcurrentCac::admit_path, which validates every hop
-//     under exclusive locks taken in canonical (ascending shard id)
-//     order.  Each speculative check carries a version stamp
+//   * setup() first checks every queueing point speculatively, in hop
+//     order on the calling thread, stopping at the first rejecting hop
+//     — lock-free against the shards' published snapshots for policies
+//     that export them, under shared shard locks otherwise — and only
+//     then commits through ConcurrentCac::admit_path, which validates
+//     every hop under exclusive locks taken in canonical (ascending
+//     shard id) order.  Each speculative check carries a version stamp
 //     (ConcurrentCac::CheckStamp); a hop whose point saw no commit in
 //     between reuses its speculative verdict, every other hop is
 //     re-checked, so a stale speculative check can never over-admit;
@@ -59,16 +58,14 @@
 // (docs/STATIC_ANALYSIS.md).
 //
 // Concurrency primitives are confined to this module, to
-// util/thread_annotations.h, core/concurrent_cac.* and
-// util/thread_pool.h by the `concurrency-state` lint rule
-// (tools/rtcac_lint.py).
+// util/thread_annotations.h and core/concurrent_cac.* by the
+// `concurrency-state` lint rule (tools/rtcac_lint.py).
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,7 +73,6 @@
 #include "core/concurrent_cac.h"
 #include "net/connection_manager.h"
 #include "net/topology.h"
-#include "util/thread_pool.h"
 
 namespace rtcac {
 
@@ -87,34 +83,14 @@ class AdmissionEngine {
   using ConnectionRecord = ConnectionManager::ConnectionRecord;
   using ReclaimResult = ConnectionManager::ReclaimResult;
 
-  /// Engine tuning (construction-time, immutable afterwards).
-  struct Options {
-    /// Workers fanning one setup's per-hop checks out in parallel; 0
-    /// checks hops sequentially on the calling thread.  The engine is
-    /// thread-safe either way — any number of caller threads may
-    /// invoke setup/check/teardown concurrently.
-    std::size_t pipeline_threads = 0;
-    /// Snapshot republication window of the sharded core
-    /// (ConcurrentCac::Options::publish_window): commits per shard
-    /// between snapshot exports.  1 (default) publishes eagerly; N > 1
-    /// batches a setup burst behind one export — flush explicitly with
-    /// publish_snapshots().
-    std::size_t publish_window = 1;
-  };
-
-  /// `pipeline_threads` workers fan one setup's per-hop checks out in
-  /// parallel; 0 checks hops sequentially on the calling thread.  The
-  /// engine is thread-safe either way — any number of caller threads
-  /// may invoke setup/check/teardown concurrently.
-  AdmissionEngine(const Topology& topology, const Params& params,
-                  std::size_t pipeline_threads = 0);
+  /// The paper's bit-stream policy.  The engine is thread-safe: any
+  /// number of caller threads may invoke setup/check/teardown
+  /// concurrently.
+  AdmissionEngine(const Topology& topology, const Params& params);
   /// Explicit admission policy (stateless factory, used only during
   /// construction).
   AdmissionEngine(const Topology& topology, const Params& params,
-                  const CacPolicy& policy, std::size_t pipeline_threads = 0);
-  /// Full tuning surface.
-  AdmissionEngine(const Topology& topology, const Params& params,
-                  const CacPolicy& policy, const Options& options);
+                  const CacPolicy& policy);
 
   AdmissionEngine(const AdmissionEngine&) = delete;
   AdmissionEngine& operator=(const AdmissionEngine&) = delete;
@@ -154,11 +130,6 @@ class AdmissionEngine {
   /// Applies all deferred removals, one batched remove_many per shard;
   /// returns the number of hop reservations released.
   std::size_t drain();
-
-  /// Flushes snapshot publications deferred by Options::publish_window
-  /// (no-op under the default eager window); returns the number of
-  /// out-port slots republished.
-  std::size_t publish_snapshots() { return cac_.publish_snapshots(); }
 
   [[nodiscard]] std::size_t pending_removals() const {
     return cac_.pending_removals();
@@ -241,15 +212,14 @@ class AdmissionEngine {
   [[nodiscard]] PathPlan plan_path(const QosRequest& request,
                                    const Route& route) const;
 
-  /// Speculative per-hop checks — against the shards' published
-  /// snapshots when the policy exports them (lock-free), under shared
-  /// locks otherwise; fans out across the pool when one exists.
-  /// Returns the index of the first rejecting hop (kNoTarget when all
-  /// admit) and fills `results`; when `stamps` is non-null it receives
-  /// the per-hop version witnesses admit_path validates at commit time
-  /// (validate-on-commit: unchanged hops reuse their verdicts).  Run
-  /// serially, the checks stop at the first rejecting hop, and the
-  /// entries after it stay default-constructed.
+  /// Speculative per-hop checks in hop order — against the shards'
+  /// published snapshots when the policy exports them (lock-free), under
+  /// shared locks otherwise.  Returns the index of the first rejecting
+  /// hop (kNoTarget when all admit) and fills `results`; when `stamps`
+  /// is non-null it receives the per-hop version witnesses admit_path
+  /// validates at commit time (validate-on-commit: unchanged hops reuse
+  /// their verdicts).  The checks stop at the first rejecting hop, and
+  /// the entries after it stay default-constructed.
   std::size_t speculative_checks(
       const std::vector<ConcurrentCac::HopSpec>& specs,
       std::vector<HopVerdict>& results,
@@ -262,8 +232,8 @@ class AdmissionEngine {
                                        std::span<ConnectionId> ids_by_op);
 
   // topology_/params_/evaluator_/shard_index_ are immutable after
-  // construction; cac_ and pool_ are internally synchronized (their own
-  // annotated locks); next_id_ is atomic.  The guarded-by lint rule
+  // construction; cac_ is internally synchronized (its own annotated
+  // locks); next_id_ is atomic.  The guarded-by lint rule
   // requires each non-annotated member of a mutex-owning class to state
   // why, hence the inline allows.
   const Topology& topology_;  // rtcac-lint: allow(guarded-by)
@@ -272,8 +242,6 @@ class AdmissionEngine {
   /// Per node; npos for terminals.
   std::vector<std::size_t> shard_index_;  // rtcac-lint: allow(guarded-by)
   ConcurrentCac cac_;  // rtcac-lint: allow(guarded-by)
-  /// Pipeline mode; may be null.
-  mutable std::unique_ptr<ThreadPool> pool_;  // rtcac-lint: allow(guarded-by)
 
   mutable Mutex records_mutex_;
   std::map<ConnectionId, ConnectionRecord> records_

@@ -21,14 +21,7 @@
 // Only *shard* (SharedMutex state) locks participate: the small leaf
 // mutexes (Shard::pending_mutex, AdmissionEngine::records_mutex_) are
 // never held while acquiring a shard lock, which the annotations prove
-// statically, so they stay off the stack.  The one deliberate
-// exception is ConcurrentCac's per-out-port OutSlot::refresh_mutex: a
-// *reader* holds it while acquiring the same shard's *shared* lock
-// (snapshot self-refresh).  That edge is one-way — writers never take
-// a refresh mutex, no code path acquires a refresh mutex while holding
-// any shard lock, and no two refresh mutexes are ever held together —
-// so it cannot close a cycle with the ascending-shard order and stays
-// off the stack as well (concurrent_cac.h, "Lock order").
+// statically, so they stay off the stack.
 
 #pragma once
 

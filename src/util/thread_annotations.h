@@ -19,11 +19,7 @@
 //   Mutex / SharedMutex      RTCAC_CAPABILITY wrappers over std::mutex /
 //                            std::shared_mutex with annotated
 //                            lock/unlock transitions.
-//   MutexLock                scoped exclusive guard over Mutex.  Also
-//                            BasicLockable, so it can sit under a
-//                            std::condition_variable_any wait loop
-//                            (util/thread_pool.h) without giving up the
-//                            scoped-capability annotation.
+//   MutexLock                scoped exclusive guard over Mutex.
 //   ExclusiveLock/SharedLock scoped exclusive / shared guards over
 //                            SharedMutex — the per-shard lock vocabulary
 //                            of core/concurrent_cac.h.
@@ -36,8 +32,8 @@
 // comment-justified escapes — the `tsa` acceptance bar allows no others.
 //
 // Concurrency primitives are confined to this header, to
-// util/thread_pool.h, core/concurrent_cac.* and net/admission_engine.*
-// by the `concurrency-state` lint rule (tools/rtcac_lint.py); the
+// core/concurrent_cac.* and net/admission_engine.* by the
+// `concurrency-state` lint rule (tools/rtcac_lint.py); the
 // companion `guarded-by` rule requires every mutable member of a
 // mutex-owning class to carry one of these annotations.
 
@@ -213,9 +209,7 @@ class RTCAC_CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex m_;
 };
 
-/// Scoped exclusive guard over Mutex.  Doubles as a BasicLockable so a
-/// std::condition_variable_any can release/reacquire it inside wait();
-/// the relock transitions stay visible to the analysis.
+/// Scoped exclusive guard over Mutex.
 class RTCAC_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) RTCAC_ACQUIRE(mutex) : mutex_(mutex) {
@@ -224,10 +218,6 @@ class RTCAC_SCOPED_CAPABILITY MutexLock {
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
   ~MutexLock() RTCAC_RELEASE() { mutex_.unlock(); }
-
-  // BasicLockable surface for condition_variable_any::wait.
-  void lock() RTCAC_ACQUIRE() { mutex_.lock(); }
-  void unlock() RTCAC_RELEASE() { mutex_.unlock(); }
 
  private:
   Mutex& mutex_;

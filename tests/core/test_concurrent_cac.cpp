@@ -11,6 +11,10 @@
 
 #include <any>
 #include <atomic>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -489,9 +493,9 @@ TEST(ConcurrentCacSnapshot, CheckPathTakesNoSharedLocksInAuditBuilds) {
   for (int i = 0; i < 64; ++i) {
     probes.push_back(hop_spec(0, random_candidate(rng, cfg)));
   }
-  // Quiesced and eagerly published (default publish_window == 1): every
-  // probe must ride the snapshot with zero shared_mutex acquisitions —
-  // the tentpole promise of the optimistic read path.
+  // Quiesced, and every commit republished before its lock dropped:
+  // every probe must ride the snapshot with zero shared_mutex
+  // acquisitions — the promise of the optimistic read path.
   const std::uint64_t shared_before = LockStats::shared_acquisitions();
   const std::uint64_t exclusive_before = LockStats::exclusive_acquisitions();
   std::size_t admitted = 0;
@@ -609,47 +613,134 @@ TEST(ConcurrentCacSnapshot, CurrentStampReusesSpeculativeVerdict) {
   EXPECT_EQ(revalidated.hops_revalidated, 1u);
 }
 
-TEST(ConcurrentCacSnapshot, PublishWindowDefersExportsUntilFlush) {
-  const auto cfg = shard_config(1e6);
-  const BitStream stream = TrafficDescriptor::vbr(0.02, 0.01, 4).to_bitstream();
-  // Eager window: every commit republishes, so there is nothing to flush.
-  ConcurrentCac eager({cfg});
-  ASSERT_TRUE(eager.admit(0, 1, 0, 0, 0, stream).admitted);
-  EXPECT_EQ(eager.publish_snapshots(), 0u);
-  // Window of 4: three commits stay inside the window, publication is
-  // deferred and the flush republishes the touched out-port once.
-  ConcurrentCac batched({cfg}, ConcurrentCac::Options{.publish_window = 4});
-  for (ConnectionId id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(batched.admit(0, id, 0, 0, 0, stream).admitted);
-  }
-  EXPECT_EQ(batched.publish_snapshots(), 1u);
-  EXPECT_EQ(batched.publish_snapshots(), 0u);  // idempotent once flushed
-}
+// Test-only decorator over the paper's policy: its points export
+// snapshots only until their first mutation and cannot attribute their
+// mutations (dirty_queues() stays nullopt), so the first commit advances
+// every version and every slot stays stale from then on.  bitstream()
+// stays null, so commits must go through admit_path and the decorator's
+// add(), never the stream-typed admit().
+class StaleSnapshotPoint final : public PolicyCac {
+ public:
+  explicit StaleSnapshotPoint(std::unique_ptr<PolicyCac> inner)
+      : inner_(std::move(inner)) {}
 
-TEST(ConcurrentCacSnapshot, DeferredPublicationNeverServesStaleVerdicts) {
-  // With publication deferred far beyond the trace, every check_hop
-  // must still match the serial oracle: the version stamps go stale and
-  // the reader self-refreshes (or falls back to the shared lock).
+  double advertised(std::size_t out_port, Priority priority) const override {
+    return inner_->advertised(out_port, priority);
+  }
+  std::any prepare(const TrafficDescriptor& traffic,
+                   double cdv) const override {
+    return inner_->prepare(traffic, cdv);
+  }
+  HopVerdict check(std::size_t in_port, std::size_t out_port,
+                   Priority priority, const std::any& arrival) const override {
+    return inner_->check(in_port, out_port, priority, arrival);
+  }
+  void add(ConnectionId id, std::size_t in_port, std::size_t out_port,
+           Priority priority, const std::any& arrival,
+           double lease_expiry) override {
+    mutated_ = true;
+    inner_->add(id, in_port, out_port, priority, arrival, lease_expiry);
+  }
+  bool remove(ConnectionId id) override {
+    mutated_ = true;
+    return inner_->remove(id);
+  }
+  std::size_t remove_many(std::span<const ConnectionId> ids) override {
+    mutated_ = true;
+    return inner_->remove_many(ids);
+  }
+  bool contains(ConnectionId id) const override {
+    return inner_->contains(id);
+  }
+  bool renew_lease(ConnectionId id, double lease_expiry) override {
+    return inner_->renew_lease(id, lease_expiry);
+  }
+  bool make_permanent(ConnectionId id) override {
+    return inner_->make_permanent(id);
+  }
+  std::vector<ConnectionId> reclaim(double now) override {
+    mutated_ = true;
+    return inner_->reclaim(now);
+  }
+  std::optional<double> computed_bound(std::size_t out_port,
+                                       Priority priority) const override {
+    return inner_->computed_bound(out_port, priority);
+  }
+  std::size_t connection_count() const override {
+    return inner_->connection_count();
+  }
+  void prime() const override { inner_->prime(); }
+  std::shared_ptr<const PointSnapshot> export_point_snapshot(
+      std::size_t out_port, const PointSnapshot* previous,
+      std::span<const std::size_t> stale_priorities) const override {
+    if (mutated_) return nullptr;
+    return inner_->export_point_snapshot(out_port, previous,
+                                         stale_priorities);
+  }
+  bool state_consistent() const override {
+    return inner_->state_consistent();
+  }
+  bool bandwidth_conserved() const override {
+    return inner_->bandwidth_conserved();
+  }
+  bool cache_coherent() const override { return inner_->cache_coherent(); }
+
+ private:
+  std::unique_ptr<PolicyCac> inner_;
+  bool mutated_ = false;
+};
+
+class StaleSnapshotPolicy final : public CacPolicy {
+ public:
+  std::string_view name() const noexcept override { return "stale_snapshot"; }
+  std::unique_ptr<PolicyCac> make_point(
+      const PointConfig& config) const override {
+    return std::make_unique<StaleSnapshotPoint>(
+        BitstreamCacPolicy::instance().make_point(config));
+  }
+};
+
+TEST(ConcurrentCacSnapshot, StaleSlotsFallBackToTheSharedLock) {
+  // Once a slot is stale, check_hop must answer from the live state
+  // under the shared lock, with the serial oracle's verdict and reason.
   const auto cfg = shard_config();
-  ConcurrentCac cac({cfg}, ConcurrentCac::Options{.publish_window = 100});
+  const StaleSnapshotPolicy policy;
+  ConcurrentCac cac(policy, {PointConfig{cfg.in_ports, cfg.out_ports,
+                                         cfg.priorities, cfg.advertised_bound,
+                                         cfg.coalesce_budget}});
+  ASSERT_TRUE(cac.snapshots_enabled(0));
   SwitchCac serial(cfg);
   Xorshift rng(10);
+  const std::uint64_t shared_before = LockStats::shared_acquisitions();
+  std::uint64_t stale_probes = 0;
+  bool committed = false;
   for (ConnectionId id = 1; id <= 24; ++id) {
     const Candidate c = random_candidate(rng, cfg);
-    const auto got =
-        cac.admit(0, id, c.in_port, c.out_port, c.priority, c.stream);
-    ASSERT_EQ(got.admitted,
-              serial.check(c.in_port, c.out_port, c.priority, c.stream)
-                  .admitted);
-    if (got.admitted) serial.add(id, c.in_port, c.out_port, c.priority,
-                                 c.stream);
+    const bool fits =
+        serial.check(c.in_port, c.out_port, c.priority, c.stream).admitted;
+    const std::vector<ConcurrentCac::HopSpec> hops = {hop_spec(0, c)};
+    ASSERT_EQ(cac.admit_path(hops, id).admitted, fits) << "id " << id;
+    if (fits) {
+      serial.add(id, c.in_port, c.out_port, c.priority, c.stream);
+      committed = true;
+    }
     const Candidate probe = random_candidate(rng, cfg);
     const HopVerdict hop = cac.check_hop(hop_spec(0, probe));
     const auto want =
         serial.check(probe.in_port, probe.out_port, probe.priority,
                      probe.stream);
     ASSERT_EQ(hop.admitted, want.admitted) << "after id " << id;
-    EXPECT_EQ(hop.detail, want.reason);
+    EXPECT_EQ(hop.detail, want.reason) << "after id " << id;
+    if (want.admitted) {
+      EXPECT_DOUBLE_EQ(hop.bound, want.bound_at_priority.value());
+    }
+    if (committed) ++stale_probes;
+  }
+  ASSERT_GT(stale_probes, 0u);
+  if (LockStats::enabled()) {
+    // Commits lock exclusively, so every shared acquisition here is a
+    // probe that found its slot stale.
+    EXPECT_GE(LockStats::shared_acquisitions() - shared_before, stale_probes);
   }
   EXPECT_TRUE(cac.cache_coherent());
 }
@@ -660,7 +751,7 @@ TEST(ConcurrentCacSnapshot, DeferredPublicationNeverServesStaleVerdicts) {
 // post-quiesce agreement with the live state.
 TEST(ConcurrentCacSnapshot, ReadersPinSnapshotsAcrossConcurrentChurn) {
   const auto cfg = shard_config(96.0);
-  ConcurrentCac cac({cfg, cfg}, ConcurrentCac::Options{.publish_window = 3});
+  ConcurrentCac cac({cfg, cfg});
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> reads{0};
   std::vector<std::thread> readers;
@@ -708,12 +799,8 @@ TEST(ConcurrentCacSnapshot, ReadersPinSnapshotsAcrossConcurrentChurn) {
           }
         } else if (dice == 6) {
           (void)cac.drain_removals();
-        } else {
-          if (rng.below(2) == 0) {
-            (void)cac.reclaim_all(2e6);
-          } else {
-            (void)cac.publish_snapshots();
-          }
+        } else if (rng.below(2) == 0) {
+          (void)cac.reclaim_all(2e6);
         }
       }
     });
@@ -723,12 +810,10 @@ TEST(ConcurrentCacSnapshot, ReadersPinSnapshotsAcrossConcurrentChurn) {
   for (std::thread& r : readers) r.join();
   EXPECT_GT(reads.load(), 0u);
   (void)cac.drain_removals();
-  (void)cac.publish_snapshots();
   EXPECT_TRUE(cac.state_consistent());
   EXPECT_TRUE(cac.bandwidth_conserved());
   EXPECT_TRUE(cac.cache_coherent());
-  // Quiesced and flushed: the snapshot verdict agrees with the live
-  // locked check again.
+  // Quiesced: the snapshot verdict agrees with the live locked check.
   Xorshift rng(600);
   for (int i = 0; i < 16; ++i) {
     const std::size_t shard = rng.below(2);

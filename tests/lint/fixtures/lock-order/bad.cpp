@@ -23,9 +23,8 @@ void hand_rolled_pair(SharedMutex& first, SharedMutex& second) {
   const SharedLock lock_second(second);  // expect: lock-order
 }
 
-// A snapshot self-refresh must pin ONE point's shard; rebuilding two
-// points' publications under hand-rolled shared locks is exactly the
-// multi-shard acquisition ShardLockSet exists for.
+// Reading two points' state under hand-rolled shared locks is exactly
+// the multi-shard acquisition ShardLockSet exists for.
 void refresh_two_points(SharedMutex& shard_a, SharedMutex& shard_b) {
   const SharedLock pin_a(shard_a);
   const SharedLock pin_b(shard_b);  // expect: lock-order

@@ -20,10 +20,11 @@ void write_side(SharedMutex& mutex, double& bound) {
   bound = 0;
 }
 
-// Snapshot self-refresh of one queueing-point slot: the slot's leaf
-// refresh mutex (a Mutex, not shard state) nests outside the shard's
-// shared lock.  MutexLock guards do not count as shard-state guards, so
-// this is one shard guard per function, which the rule allows.
+// A leaf Mutex (not shard state) taken in the same function as one
+// shard guard, as ConcurrentCac::drain_removals takes a shard's
+// pending_mutex and then its exclusive lock.  MutexLock guards do not
+// count as shard-state guards, so this is one shard guard per function,
+// which the rule allows.
 void refresh_point_slot(Mutex& refresh_mutex, SharedMutex& shard,
                         double& slot) {
   const MutexLock refresh(refresh_mutex);

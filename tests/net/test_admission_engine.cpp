@@ -1,6 +1,6 @@
 // Unit tests for the parallel network-level admission engine
-// (admission_engine.h): decision parity with ConnectionManager, pipeline
-// checks, deferred-teardown batching, lease reclamation, and the
+// (admission_engine.h): decision parity with ConnectionManager,
+// deferred-teardown batching, lease reclamation, and the
 // deterministic parallel trace replay against a serial oracle.  The
 // suite carries the "concurrency" ctest label so the tsan CI job
 // re-runs it under ThreadSanitizer.
@@ -181,31 +181,6 @@ TEST(AdmissionEngine, CheckIsCommitFree) {
   }
 }
 
-TEST(AdmissionEngine, PipelinedChecksMatchSerial) {
-  const Net net = make_net();
-  const auto params = make_params();
-  AdmissionEngine serial(net.topology, params);
-  AdmissionEngine pipelined(net.topology, params, /*pipeline_threads=*/2);
-  Xorshift rng(13);
-  for (std::size_t step = 0; step < 48; ++step) {
-    const QosRequest request = random_request(rng);
-    const Route& route = net.routes[rng.below(net.routes.size())];
-    if (step % 3 == 0) {
-      const auto a = serial.setup(request, route);
-      const auto b = pipelined.setup(request, route);
-      EXPECT_EQ(a.accepted, b.accepted) << "step " << step;
-      EXPECT_EQ(a.reason, b.reason);
-    } else {
-      const auto a = serial.check(request, route);
-      const auto b = pipelined.check(request, route);
-      EXPECT_EQ(a.accepted, b.accepted) << "step " << step;
-      EXPECT_EQ(a.reason, b.reason);
-      EXPECT_DOUBLE_EQ(a.e2e_bound_at_setup, b.e2e_bound_at_setup);
-    }
-  }
-  EXPECT_TRUE(pipelined.cache_coherent());
-}
-
 TEST(AdmissionEngine, TeardownRestoresCapacity) {
   const Net net = make_net();
   ConnectionManager::Params params = make_params();
@@ -300,42 +275,6 @@ TEST(AdmissionEngine, ReclaimSweepsExpiredLeases) {
   EXPECT_FALSE(engine.teardown(leased.id));  // record reclaimed with it
   EXPECT_TRUE(engine.reclaim(1e18).orphans.empty());  // permanent survives
   EXPECT_TRUE(engine.state_consistent());
-}
-
-TEST(AdmissionEngine, PublishWindowDoesNotChangeDecisions) {
-  // A deferred snapshot-publication window batches export work behind a
-  // setup burst; it must be invisible in the decision stream, because
-  // stale stamps only ever force the locked fallback / revalidation.
-  const Net net = make_net();
-  const auto params = make_params();
-  AdmissionEngine eager(net.topology, params);
-  AdmissionEngine batched(net.topology, params,
-                          BitstreamCacPolicy::instance(),
-                          AdmissionEngine::Options{.pipeline_threads = 0,
-                                                   .publish_window = 6});
-  Xorshift rng(14);
-  for (std::size_t step = 0; step < 64; ++step) {
-    const QosRequest request = random_request(rng);
-    const Route& route = net.routes[rng.below(net.routes.size())];
-    if (step % 4 == 0) {
-      const auto a = eager.check(request, route);
-      const auto b = batched.check(request, route);
-      EXPECT_EQ(a.accepted, b.accepted) << "step " << step;
-      EXPECT_EQ(a.reason, b.reason) << "step " << step;
-    } else {
-      expect_same_result(batched.setup(request, route),
-                         eager.setup(request, route), step);
-    }
-  }
-  EXPECT_EQ(batched.connection_count(), eager.connection_count());
-  // The burst left deferred publications behind; the eager engine has
-  // none.  Flushing is idempotent.
-  EXPECT_EQ(eager.publish_snapshots(), 0u);
-  EXPECT_GT(batched.publish_snapshots(), 0u);
-  EXPECT_EQ(batched.publish_snapshots(), 0u);
-  EXPECT_TRUE(batched.state_consistent());
-  EXPECT_TRUE(batched.bandwidth_conserved());
-  EXPECT_TRUE(batched.cache_coherent());
 }
 
 TEST(AdmissionEngine, ShardOfRejectsTerminals) {

@@ -89,7 +89,7 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
                     std::thread, std::atomic, std::condition_variable,
                     locks, futures) are confined to the dedicated
                     concurrency modules: util/thread_annotations.h,
-                    util/thread_pool.h, core/concurrent_cac.{h,cpp} and
+                    core/concurrent_cac.{h,cpp} and
                     net/admission_engine.{h,cpp}.  Everything else in
                     src/ stays single-threaded by construction, so the
                     priming/lock-order reasoning in concurrent_cac.h
@@ -259,7 +259,6 @@ CONCURRENCY_RE = re.compile(
     r"stop_source|call_once|once_flag)\b")
 CONCURRENCY_ALLOWED = (
     ("src", "util", "thread_annotations.h"),
-    ("src", "util", "thread_pool.h"),
     ("src", "core", "concurrent_cac.h"),
     ("src", "core", "concurrent_cac.cpp"),
     ("src", "net", "admission_engine.h"),
@@ -536,7 +535,7 @@ class Linter:
                 self.report(
                     path, lineno, "concurrency-state",
                     "std:: threading primitive outside the dedicated "
-                    "concurrency modules (util/thread_pool.h, "
+                    "concurrency modules (util/thread_annotations.h, "
                     "core/concurrent_cac.*, net/admission_engine.*); "
                     "route cross-thread work through ConcurrentCac / "
                     "AdmissionEngine instead", comment_text)
