@@ -216,6 +216,59 @@ void BM_DelayBoundCheck(benchmark::State& state, BoundShape shape) {
 BENCHMARK_CAPTURE(BM_DelayBoundCheck, vbr, BoundShape{false, 8, 12, 13, 17});
 BENCHMARK_CAPTURE(BM_DelayBoundCheck, cbr, BoundShape{true, 3, 3, 2, 2});
 
+// The rebind that ends a MODIFY or reroute at one hop
+// (PathEvaluator::rebind_hops): the provisional reservation moves onto the
+// connection's stable id.
+//   * remove_add: remove + add of the same stream, which re-merges the
+//     leaf's root path twice and rebuilds the cell's root block;
+//   * rekey: SwitchCac::rekey, which moves the record, lease and
+//     membership and leaves the tree and the caches as they are.
+// Each of 64 switches holds one cell shaped like `signaling_lossy`'s: 10
+// CBR connections of 1/256 to 8/256 of the link, each delayed for an
+// upstream CDV of 0 to 7 hops of 32 cells.  Successive iterations rebind
+// on successive switches, so the trees are not all in cache, and each
+// rebind moves the id back the next time round.
+void BM_SwitchRebind(benchmark::State& state, bool rekey) {
+  constexpr std::size_t kSets = 64;
+  constexpr ConnectionId kLeaves = 10;
+  SwitchCac::Config cfg;
+  cfg.in_ports = 2;
+  cfg.out_ports = 2;
+  cfg.priorities = 2;
+  std::vector<SwitchCac> switches;
+  switches.reserve(kSets);
+  std::vector<BitStream> moved(kSets);
+  Xorshift rng(8);
+  for (std::size_t set = 0; set < kSets; ++set) {
+    SwitchCac& cac = switches.emplace_back(cfg);
+    for (ConnectionId id = 1; id <= kLeaves; ++id) {
+      moved[set] = delay(
+          TrafficDescriptor::cbr(static_cast<double>(1 + rng.below(8)) / 256)
+              .to_bitstream(),
+          32.0 * static_cast<double>(rng.below(8)));
+      cac.add(id, 0, 0, 0, moved[set]);
+    }
+  }
+  std::vector<ConnectionId> from(kSets, kLeaves);
+  std::vector<ConnectionId> to(kSets, kLeaves + 1);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    SwitchCac& cac = switches[next];
+    if (rekey) {
+      cac.rekey(from[next], to[next], 0, 0, 0);
+    } else {
+      cac.remove(from[next]);
+      cac.add(to[next], 0, 0, 0, moved[next]);
+    }
+    benchmark::DoNotOptimize(cac.arrival_aggregate(0, 0, 0).segments().data());
+    benchmark::ClobberMemory();
+    std::swap(from[next], to[next]);
+    next = (next + 1) % kSets;
+  }
+}
+BENCHMARK_CAPTURE(BM_SwitchRebind, remove_add, false);
+BENCHMARK_CAPTURE(BM_SwitchRebind, rekey, true);
+
 // Full per-switch admission check as a function of connection count and
 // priority levels — the quantity that gates on-line VC setup.
 void BM_SwitchAdmission(benchmark::State& state) {

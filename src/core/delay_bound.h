@@ -183,6 +183,12 @@ class ServiceCurve {
 /// computed bit for bit as the reference computes it, and only a later
 /// candidate lifted above the peak by rounding could make them differ.
 /// Audit builds sweep on past the stop and check that none is.
+///
+/// A candidate time equal to the one just evaluated is skipped: its
+/// cursors, arithmetic and stop test would repeat exactly.  That is
+/// t = 0 two or three times per sweep — the first arrival breakpoint and
+/// the preimages of G's breakpoints with G = 0 (G(0), and the end of a
+/// saturated start).
 template <typename Num>
 std::optional<Num> delay_bound_segments(
     std::span<const BasicSegment<Num>> segs,
@@ -220,6 +226,8 @@ std::optional<Num> delay_bound_segments(
   Num best{0};
   std::size_t si = 0;
   bool past_peak = false;  // audit builds only: sweeping on after the stop
+  // The last candidate evaluated; candidate times are never negative.
+  Num last_t{-1};
   for (;;) {
     // The next preimage, once the merge has taken the previous one.
     while (!has_pre && pk < gp.size()) {
@@ -260,6 +268,8 @@ std::optional<Num> delay_bound_segments(
       t = pre;
       has_pre = false;
     }
+    if (t == last_t) continue;
+    last_t = t;
     // A(t), incrementally.
     while (ak + 1 < segs.size() && segs[ak + 1].start <= t) {
       aarea += segs[ak].rate * (segs[ak + 1].start - segs[ak].start);

@@ -122,6 +122,12 @@ class BitstreamPoint final : public PolicyCac {
   }
 
   bool remove(ConnectionId id) override { return cac_.remove(id); }
+  void rekey(ConnectionId from, ConnectionId to, std::size_t in_port,
+             std::size_t out_port, Priority priority,
+             const std::any& /*arrival*/, double lease_expiry) override {
+    // The leaf committed under `from` is this arrival: it stays in place.
+    cac_.rekey(from, to, in_port, out_port, priority, lease_expiry);
+  }
   std::size_t remove_many(std::span<const ConnectionId> ids) override {
     return cac_.remove_many(ids);
   }
@@ -434,8 +440,8 @@ void PathEvaluator::rebind_hops(std::span<const Hop> hops,
     RTCAC_ASSERT(
         hops[h].cac != nullptr && hops[h].cac->contains(provisional_id),
         "PathEvaluator::rebind: provisional reservation missing");
-    hops[h].cac->remove(provisional_id);
-    commit_hop(hops[h], final_id, priority, arrivals[h], lease_expiry);
+    hops[h].cac->rekey(provisional_id, final_id, hops[h].in_port,
+                       hops[h].out_port, priority, arrivals[h], lease_expiry);
   }
 }
 

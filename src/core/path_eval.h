@@ -187,6 +187,19 @@ class PolicyCac {
   virtual bool remove(ConnectionId id) = 0;
   /// Release a batch; returns how many were present.
   virtual std::size_t remove_many(std::span<const ConnectionId> ids) = 0;
+  /// Move the reservation committed under `from` (at these ports and
+  /// priority, for this prepared arrival) onto the new id `to` with lease
+  /// `lease_expiry` — the rebind that ends every both-sided
+  /// DeltaTransaction.  The default is remove + add, which every policy
+  /// and decorator without an override inherits; an override must leave
+  /// the same state (the bitstream point re-keys in place,
+  /// SwitchCac::rekey).
+  virtual void rekey(ConnectionId from, ConnectionId to, std::size_t in_port,
+                     std::size_t out_port, Priority priority,
+                     const std::any& arrival, double lease_expiry) {
+    remove(from);
+    add(to, in_port, out_port, priority, arrival, lease_expiry);
+  }
 
   [[nodiscard]] virtual bool contains(ConnectionId id) const = 0;
   virtual bool renew_lease(ConnectionId id, double lease_expiry) = 0;
@@ -488,9 +501,9 @@ class PathEvaluator {
   /// The rebind half of finalize_delta, kept callable on its own: after
   /// the old path is released, re-keys the reservations committed under
   /// `provisional_id` onto the connection's stable `final_id` at every
-  /// hop.  Deterministic and infallible — each hop swap is
-  /// remove-then-add of an arrival that was already committed, so no
-  /// admission decision is re-opened.
+  /// hop (PolicyCac::rekey).  Deterministic and infallible — each hop
+  /// swap moves an arrival that was already committed, so no admission
+  /// decision is re-opened.
   void rebind(std::span<const Hop> hops, ConnectionId provisional_id,
               ConnectionId final_id, const QosRequest& request,
               std::span<const std::any> arrivals, double lease_expiry) const;

@@ -399,6 +399,36 @@ void BasicSwitchCac<Num>::add(ConnectionId id, std::size_t in_port,
 }
 
 template <typename Num>
+void BasicSwitchCac<Num>::rekey(ConnectionId from, ConnectionId to,
+                                std::size_t in_port, std::size_t out_port,
+                                Priority priority, double lease_expiry) {
+  const auto it = records_.find(from);
+  RTCAC_REQUIRE(it != records_.end(),
+                "SwitchCac: rekey of unknown id " + std::to_string(from));
+  RTCAC_REQUIRE(!records_.contains(to),
+                "SwitchCac: duplicate connection id " + std::to_string(to));
+  Record& rec = it->second;
+  RTCAC_REQUIRE(rec.in_port == in_port && rec.out_port == out_port &&
+                    rec.priority == priority,
+                "SwitchCac: rekey of id " + std::to_string(from) +
+                    " onto other ports or another priority");
+  drop_lease_index_entry(rec.lease_expiry, from);
+  rec.lease_expiry = lease_expiry;
+  if (lease_expiry != kPermanentLease) lease_index_.emplace(lease_expiry, to);
+  // Erase, then append: the position remove() + add() would give the id,
+  // so rebuild_cell() folds the members in the same order.
+  std::vector<ConnectionId>& members =
+      cell_members_[cell_index(in_port, out_port, priority)];
+  members.erase(std::find(members.begin(), members.end(), from));
+  members.push_back(to);
+  // Re-key the record node in place: no allocation, slot unchanged.
+  auto node = records_.extract(it);
+  node.key() = to;
+  records_.insert(std::move(node));
+  audit_invariants();
+}
+
+template <typename Num>
 bool BasicSwitchCac<Num>::renew_lease(ConnectionId id, double lease_expiry) {
   const auto it = records_.find(id);
   if (it == records_.end()) return false;
@@ -437,7 +467,7 @@ double BasicSwitchCac<Num>::lease_expiry(ConnectionId id) const {
 
 template <typename Num>
 std::size_t BasicSwitchCac<Num>::remove_record_bookkeeping(
-    typename std::map<ConnectionId, Record>::iterator it) {
+    typename RecordMap::iterator it) {
   const Record& rec = it->second;
   const std::size_t idx = cell_index(rec.in_port, rec.out_port, rec.priority);
   cell_trees_[idx].erase(rec.slot);
@@ -510,6 +540,7 @@ std::vector<ConnectionId> BasicSwitchCac<Num>::connection_ids() const {
   std::vector<ConnectionId> ids;
   ids.reserve(records_.size());
   for (const auto& [id, rec] : records_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
   return ids;
 }
 

@@ -26,6 +26,11 @@
 // check() is a pure trial; add()/remove() mutate state.  remove() restores
 // the exact state (aggregates are rebuilt from the per-connection records,
 // so floating-point drift cannot accumulate across setup/teardown cycles).
+// rekey() moves a committed reservation onto a new id (the rebind that
+// ends a MODIFY or reroute, core/path_eval.h): it leaves the state
+// remove() + add() of the same stream would leave, but touches neither
+// the merge tree nor a derived cache.  Records are a hash index; the id
+// listings sort.
 //
 // Admission hot path (docs/PERFORMANCE.md): every derived stream the check
 // needs — the filtered per-cell streams S_if, the higher-priority unions,
@@ -81,6 +86,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/bitstream.h"
@@ -188,6 +194,18 @@ class BasicSwitchCac {
   /// Removes a connection; returns false if the id is unknown.
   bool remove(ConnectionId id);
 
+  /// Moves the reservation of `from` onto the new id `to` with lease
+  /// `lease_expiry`, leaving exactly the state remove(from) + add(to, ...)
+  /// of the same stream at the same ports leaves (the tree's free list is
+  /// LIFO, so that add refills the freed slot), but in place: only the
+  /// record, its lease-index entry and the cell membership move, the
+  /// last by erase-then-append to keep rebuild_cell()'s fold order.
+  /// Throws std::invalid_argument for an unknown `from`, a `to` already
+  /// present, or ports/priority other than the record's.
+  void rekey(ConnectionId from, ConnectionId to, std::size_t in_port,
+             std::size_t out_port, Priority priority,
+             double lease_expiry = kPermanentLease);
+
   /// Removes every (known) id in `ids` in one batch — each touched S_ia
   /// cell is rebuilt once and the invariant audit runs once, the same
   /// amortization reclaim() uses.  Unknown ids are skipped.  Returns the
@@ -215,7 +233,8 @@ class BasicSwitchCac {
   /// commitments are never reclaimed.
   std::vector<ConnectionId> reclaim(double now);
 
-  /// Ids of all committed connections, ascending.
+  /// Ids of all committed connections, ascending (sorted per call: the
+  /// record index is unordered).
   [[nodiscard]] std::vector<ConnectionId> connection_ids() const;
 
   /// Ids of the connections queued at (out_port, priority), ascending —
@@ -321,6 +340,7 @@ class BasicSwitchCac {
     std::size_t slot;
     double lease_expiry = kPermanentLease;
   };
+  using RecordMap = std::unordered_map<ConnectionId, Record>;
 
   [[nodiscard]] std::size_t cell_index(std::size_t in_port,
                                        std::size_t out_port,
@@ -345,8 +365,7 @@ class BasicSwitchCac {
   /// membership, lease index — WITHOUT re-merging the touched cell;
   /// returns its cell index.  Shared by remove(), remove_many() and the
   /// batched reclaim().
-  std::size_t remove_record_bookkeeping(
-      typename std::map<ConnectionId, Record>::iterator it);
+  std::size_t remove_record_bookkeeping(typename RecordMap::iterator it);
 
   /// Removes (expiry, id) from the finite-lease index; no-op for a
   /// permanent lease.
@@ -409,7 +428,8 @@ class BasicSwitchCac {
   // Membership index: ids per S_ia cell in insertion order, so rebuilds
   // and per-queue queries never scan the full record map.
   std::vector<std::vector<ConnectionId>> cell_members_;
-  std::map<ConnectionId, Record> records_;
+  // Looked up by id only; the id listings sort their copies.
+  RecordMap records_;
   // Mergeable aggregate state: one merge tree per S_ia cell owning the
   // member arrival streams (Record::slot indexes its leaves), node
   // buffers pooled in the arena.  arrival_aggr_[c] is always the

@@ -18,6 +18,11 @@
 // kernel returns an input unchanged shares that input's block, so priming
 // a switch whose one connection is link-feasible allocates nothing.
 //
+// The rebind at the end of a MODIFY re-keys each hop's reservation in
+// place (SwitchCac::rekey): onto a permanent lease it moves one record
+// node, one membership entry and drops the provisional lease, so it
+// allocates nothing.
+//
 // Allocations are counted by replacing the global operator new, which
 // would count in every test that shared the binary — so this file is a
 // test binary of its own.
@@ -383,6 +388,45 @@ TEST(AllocationBudget, RejectedCheckAddsOnlyItsReasonDouble) {
 
 TEST(AllocationBudget, RejectedCheckAddsOnlyItsReasonExact) {
   expect_rejected_check_adds_only_its_reason<Rational>();
+}
+
+template <typename Num>
+void expect_rekey_onto_a_permanent_lease_allocates_nothing() {
+  using Cac = BasicSwitchCac<Num>;
+  typename Cac::Config cfg;
+  cfg.in_ports = kInPorts;
+  cfg.out_ports = kOutPorts;
+  cfg.priorities = kPriorities;
+  cfg.advertised_bound = Num(1 << 20);
+  Cac cac(cfg);
+  Xorshift rng(29);
+  populate(cac, rng);
+  // A provisional reservation under a setup lease, with a newer member
+  // of the same cell behind it, as a MODIFY walk leaves them.
+  constexpr ConnectionId kProvisional = 5000;
+  constexpr ConnectionId kStable = 7;
+  ASSERT_TRUE(cac.remove(kStable));
+  cac.add(kProvisional, 5, 0, 2, small_stream<Num>(rng), 64.0);
+  cac.add(kProvisional + 1, 5, 0, 2, small_stream<Num>(rng));
+  cac.prime_caches();
+  EXPECT_EQ(allocations_during(
+                [&] { cac.rekey(kProvisional, kStable, 5, 0, 2); }),
+            0u);
+  // Permanent onto permanent.
+  EXPECT_EQ(allocations_during(
+                [&] { cac.rekey(kStable, kProvisional, 5, 0, 2); }),
+            0u);
+  EXPECT_TRUE(cac.dirty_queue_keys().empty());
+  EXPECT_TRUE(cac.reclaim(1e12).empty());
+  EXPECT_TRUE(cac.state_consistent());
+}
+
+TEST(AllocationBudget, RekeyOntoAPermanentLeaseAllocatesNothing) {
+  if (RTCAC_AUDIT_ENABLED) {
+    GTEST_SKIP() << "audit builds re-verify the whole switch per mutation";
+  }
+  expect_rekey_onto_a_permanent_lease_allocates_nothing<double>();
+  expect_rekey_onto_a_permanent_lease_allocates_nothing<Rational>();
 }
 
 }  // namespace

@@ -430,5 +430,38 @@ TEST(DelayBoundStop, WorkEndsAtThePeak) {
   EXPECT_EQ(ops_with_tail(160), short_tail);
 }
 
+TEST(DelayBoundStop, SaturatedStartEvaluatesTimeZeroOnce) {
+  // Behind a link the higher priority holds for [0, 10), t = 0 is a
+  // candidate three times: the first arrival breakpoint and the
+  // preimages of G(0) = 0 and G(10) = 0.  Behind an idle link it is one
+  // twice.  Each sweep must evaluate it once, then t = 2, where the
+  // 4 bits of the burst have arrived and the arrivals stop (rate 0 is at
+  // most any capacity, so the sweep ends there).  Beyond building G,
+  // both sweeps then spend the same arithmetic: one evaluation at t = 0,
+  // one at t = 2, and no preimage search (both G = 0 levels are at t =
+  // 0).  Evaluating each repeat of t = 0 again would cost the saturated
+  // sweep one evaluation more than the idle one.
+  const std::vector<BasicSegment<Counted>> s{{Rational(2), Rational(0)},
+                                             {Rational(0), Rational(2)}};
+  const auto sweep_ops = [&](const std::vector<BasicSegment<Counted>>& hp,
+                             const Rational& want) {
+    std::vector<detail::ServicePoint<Counted>> storage;
+    Counted::ops = 0;
+    (void)detail::ServiceCurve<Counted>(hp, storage);
+    const std::size_t curve_ops = Counted::ops;
+    Counted::ops = 0;
+    const auto bound = detail::delay_bound_segments<Counted>(s, hp);
+    EXPECT_TRUE(bound.has_value() && bound->v == want);
+    return Counted::ops - curve_ops;
+  };
+  // Saturated until 10, then capacity 1/2: the burst departs at 18.
+  const std::size_t saturated = sweep_ops(
+      {{Rational(1), Rational(0)}, {Rational(1, 2), Rational(10)}},
+      Rational(16));
+  // Idle (capacity 1): the burst departs at 4.
+  const std::size_t idle = sweep_ops({{Rational(0), Rational(0)}}, Rational(2));
+  EXPECT_EQ(saturated, idle);
+}
+
 }  // namespace
 }  // namespace rtcac

@@ -375,5 +375,113 @@ TEST_P(CrossEngineEquivalence, CoalescedBudgetReachesEveryEngineIdentically) {
   }
 }
 
+// A decorator that forwards every PolicyCac call but rekey(), as a
+// tracing or metering wrapper written before rekey() existed does: its
+// rebinds take PolicyCac's default remove + add through the forwards,
+// where the plain bitstream point re-keys in place.  Both must decide
+// every later op identically.
+class ForwardingPoint final : public PolicyCac {
+ public:
+  explicit ForwardingPoint(std::unique_ptr<PolicyCac> inner)
+      : inner_(std::move(inner)) {}
+
+  double advertised(std::size_t out_port, Priority priority) const override {
+    return inner_->advertised(out_port, priority);
+  }
+  std::any prepare(const TrafficDescriptor& traffic,
+                   double cdv) const override {
+    return inner_->prepare(traffic, cdv);
+  }
+  HopVerdict check(std::size_t in_port, std::size_t out_port,
+                   Priority priority, const std::any& arrival) const override {
+    return inner_->check(in_port, out_port, priority, arrival);
+  }
+  void add(ConnectionId id, std::size_t in_port, std::size_t out_port,
+           Priority priority, const std::any& arrival,
+           double lease_expiry) override {
+    inner_->add(id, in_port, out_port, priority, arrival, lease_expiry);
+  }
+  bool remove(ConnectionId id) override { return inner_->remove(id); }
+  std::size_t remove_many(std::span<const ConnectionId> ids) override {
+    return inner_->remove_many(ids);
+  }
+  bool contains(ConnectionId id) const override {
+    return inner_->contains(id);
+  }
+  bool renew_lease(ConnectionId id, double lease_expiry) override {
+    return inner_->renew_lease(id, lease_expiry);
+  }
+  bool make_permanent(ConnectionId id) override {
+    return inner_->make_permanent(id);
+  }
+  std::vector<ConnectionId> reclaim(double now) override {
+    return inner_->reclaim(now);
+  }
+  std::optional<double> computed_bound(std::size_t out_port,
+                                       Priority priority) const override {
+    return inner_->computed_bound(out_port, priority);
+  }
+  std::size_t connection_count() const override {
+    return inner_->connection_count();
+  }
+  void prime() const override { inner_->prime(); }
+  std::shared_ptr<const PointSnapshot> export_point_snapshot(
+      std::size_t out_port, const PointSnapshot* previous,
+      std::span<const std::size_t> stale_priorities) const override {
+    return inner_->export_point_snapshot(out_port, previous,
+                                         stale_priorities);
+  }
+  std::optional<std::vector<std::size_t>> dirty_queues() const override {
+    return inner_->dirty_queues();
+  }
+  bool state_consistent() const override {
+    return inner_->state_consistent();
+  }
+  bool bandwidth_conserved() const override {
+    return inner_->bandwidth_conserved();
+  }
+  bool cache_coherent() const override { return inner_->cache_coherent(); }
+  const SwitchCac* bitstream() const noexcept override {
+    return inner_->bitstream();
+  }
+
+ private:
+  std::unique_ptr<PolicyCac> inner_;
+};
+
+class ForwardingPolicy final : public CacPolicy {
+ public:
+  std::string_view name() const noexcept override { return "forwarding"; }
+  std::unique_ptr<PolicyCac> make_point(
+      const PointConfig& config) const override {
+    return std::make_unique<ForwardingPoint>(
+        BitstreamCacPolicy::instance().make_point(config));
+  }
+};
+
+TEST(DefaultRekey, DecoratorWithoutRekeyDecidesEveryModifyIdentically) {
+  const Net net = make_net();
+  const ConnectionManager::Params params = make_params();
+  const ForwardingPolicy forwarding;
+  const CacPolicy& bitstream = BitstreamCacPolicy::instance();
+  for (const std::uint64_t seed : {11u, 23u, 47u}) {
+    const std::vector<TraceOp> trace = make_trace(seed, net);
+    const std::vector<OpOutcome> reference =
+        manager_stream(trace, net, params, bitstream);
+    std::size_t modifies_admitted = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      if (trace[i].kind == TraceOp::Kind::kModify && reference[i].accepted) {
+        ++modifies_admitted;
+      }
+    }
+    ASSERT_GT(modifies_admitted, 0u) << "seed " << seed;
+    expect_identical(manager_stream(trace, net, params, forwarding), reference,
+                     "forwarding manager seed " + std::to_string(seed));
+    expect_identical(signaling_stream(trace, net, params, forwarding),
+                     signaling_stream(trace, net, params, bitstream),
+                     "forwarding signaling seed " + std::to_string(seed));
+  }
+}
+
 }  // namespace
 }  // namespace rtcac

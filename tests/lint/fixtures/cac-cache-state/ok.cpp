@@ -1,7 +1,7 @@
 // lint-fixture-dest: src/core/switch_cac.cpp
 //
 // cac-cache-state negative fixture: the cache-management members
-// (ensure_* / invalidate_* / rebuild_cell* / lease bookkeeping /
+// (ensure_* / invalidate_* / rebuild_cell* / rekey / lease bookkeeping /
 // arena_stats / audits) own that state, merge trees and arena included.
 
 #include "core/switch_cac.h"
@@ -25,6 +25,12 @@ template <typename Num>
 void BasicSwitchCac<Num>::rebuild_cell(std::size_t cell) {
   cell_counts_[cell] = 0;
   arrival_aggr_[cell] = cell_trees_[cell].aggregate(stream_arena_);
+}
+
+template <typename Num>
+void BasicSwitchCac<Num>::rekey(std::size_t cell, double expiry) {
+  lease_index_.emplace(expiry, 0);
+  cell_members_[cell].push_back(0);
 }
 
 template <typename Num>

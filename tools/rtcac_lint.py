@@ -54,7 +54,9 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
                     aggregates") may be read or written only inside
                     the cache-management member functions of
                     src/core/switch_cac.cpp (constructor, add/remove/
-                    reclaim, renew_lease/drop_lease_index_entry,
+                    reclaim, rekey (which moves a record's lease-index
+                    entry and cell membership onto a new id),
+                    renew_lease/drop_lease_index_entry,
                     rebuild_cell*, invalidate_*, ensure_*, compose_*,
                     the *_scratch oracles, arena_stats and the
                     consistency audits) — never from query accessors
@@ -194,10 +196,11 @@ REROUTE_HANDLER_PREFIXES = ("on_", "attempt_", "advance_to", "quiesce")
 # layer added — the member we are inside (tracked from out-of-line
 # definitions), and the member functions allowed to touch that state
 # directly (cache management, lease bookkeeping, from-scratch oracles,
-# the arena_stats bench hook, the snapshot exporters of the optimistic
-# read path (export_point_sections / dirty_queue_keys, which read the
-# primed caches and dirty flags to build immutable publications), and
-# the consistency audits that vouch for it all).
+# the arena_stats bench hook, rekey (which moves a record's lease-index
+# entry and cell membership onto a new id), the snapshot exporters of the
+# optimistic read path (export_point_sections / dirty_queue_keys, which
+# read the primed caches and dirty flags to build immutable
+# publications), and the consistency audits that vouch for it all).
 CAC_FUNC_RE = re.compile(r"\bBasicSwitchCac<\w+>::(\w+)\s*\(")
 CAC_STATE_RE = re.compile(
     r"\b(?:arrival_aggr_|cell_counts_|cell_members_|filtered_cell_|"
@@ -212,7 +215,7 @@ CAC_ACCESSOR_PREFIXES = (
     "higher_priority_filtered_scratch", "arrival_aggregate",
     "sustained_load", "connection_", "state_consistent",
     "bandwidth_conserved", "cache_coherent", "prime_caches",
-    "renew_lease", "drop_lease_index_entry", "arena_stats",
+    "renew_lease", "drop_lease_index_entry", "rekey", "arena_stats",
     "export_", "dirty_queue")
 
 # admission-walk: the three ingredients of the per-hop admission walk.
