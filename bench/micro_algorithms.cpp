@@ -269,32 +269,57 @@ void BM_SwitchRebind(benchmark::State& state, bool rekey) {
 BENCHMARK_CAPTURE(BM_SwitchRebind, remove_add, false);
 BENCHMARK_CAPTURE(BM_SwitchRebind, rekey, true);
 
-// Full per-switch admission check as a function of connection count and
-// priority levels — the quantity that gates on-line VC setup.
+// Full per-switch admission check as a function of priority levels,
+// connection count and in-ports — the quantity that gates on-line VC
+// setup.  Out-port 0 carries every connection, from 4 in-ports spread
+// over the range: with 4 in-ports that is every in-port (the dense rows),
+// with 19 (an RTnet switch, paper §5) or 64 it is a few of many (the
+// sparse rows, where the check merges only the live in-ports).  Each row
+// cycles 64 candidates (in-port, priority, stream), half from an in-port
+// with traffic and half from any in-port, so the branch predictor cannot
+// learn one input.
 void BM_SwitchAdmission(benchmark::State& state) {
+  constexpr std::size_t kSets = 64;
   const auto priorities = static_cast<std::size_t>(state.range(0));
   const auto connections = static_cast<std::size_t>(state.range(1));
+  const auto in_ports = static_cast<std::size_t>(state.range(2));
   SwitchCac::Config cfg;
-  cfg.in_ports = 4;
+  cfg.in_ports = in_ports;
   cfg.out_ports = 4;
   cfg.priorities = priorities;
   cfg.advertised_bound = 1e9;  // admit everything; measure cost only
   SwitchCac cac(cfg);
   Xorshift rng(5);
+  std::vector<std::size_t> busy;
+  for (std::size_t k = 0; k < 4; ++k) busy.push_back(k * (in_ports - 1) / 3);
   for (std::size_t i = 0; i < connections; ++i) {
-    cac.add(i, rng.below(4), 0,
+    cac.add(i, busy[rng.below(busy.size())], 0,
             static_cast<Priority>(rng.below(priorities)),
             random_stream(rng, 0.9 / static_cast<double>(connections)));
   }
-  const BitStream candidate =
-      random_stream(rng, 0.5 / static_cast<double>(connections));
-  const auto prio = static_cast<Priority>(priorities / 2);
+  struct Candidate {
+    std::size_t in_port;
+    Priority priority;
+    BitStream arrival;
+  };
+  std::vector<Candidate> candidates;
+  for (std::size_t set = 0; set < kSets; ++set) {
+    const std::size_t in =
+        rng.below(2) == 0 ? busy[rng.below(busy.size())] : rng.below(in_ports);
+    candidates.push_back(
+        Candidate{in, static_cast<Priority>(rng.below(priorities)),
+                  random_stream(rng, 0.5 / static_cast<double>(connections))});
+  }
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cac.check(0, 0, prio, candidate));
+    const Candidate& c = candidates[next];
+    benchmark::DoNotOptimize(cac.check(c.in_port, 0, c.priority, c.arrival));
+    next = (next + 1) % kSets;
   }
 }
 BENCHMARK(BM_SwitchAdmission)
-    ->ArgsProduct({{1, 2, 4, 8}, {16, 64, 256}});
+    ->ArgNames({"prio", "conns", "in"})
+    ->ArgsProduct({{1, 2, 4, 8}, {16, 64, 256}, {4, 19, 64}});
 
 // What exactness costs: the same admission check in Rational arithmetic.
 void BM_ExactSwitchAdmission(benchmark::State& state) {

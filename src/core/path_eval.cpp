@@ -57,8 +57,8 @@ class BitstreamPointSnapshot final : public PointSnapshot {
                   "SwitchCac: port or priority out of range");
     const auto& stream = std::any_cast<const BitStream&>(arrival);
     SwitchCheckResult result = check_point_view<double>(
-        sections_->view(), sections_->in_ports, sections_->sections.size(),
-        sections_->out_port, in_port, priority, stream);
+        sections_->view(), sections_->sections.size(), sections_->out_port,
+        in_port, priority, stream);
     return to_bitstream_verdict(std::move(result),
                                 sections_->sections[priority]->advertised);
   }

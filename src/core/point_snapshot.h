@@ -15,23 +15,36 @@
 // A View provides, for one fixed out-port j:
 //
 //   cell(i, q)         S_ia(i,j,q)   — raw aggregate arrival of a cell
-//   filtered(i, q)     S_if(i,j,q)   = filter(S_ia)
-//   hp_cell(i, q)      filter(mux_{r<q} S_ia(i,j,r))
+//   live_in_ports(q)   ascending in-ports i whose cell (i,j,q) has a member
+//   filtered_at(q, k)  S_if(i,j,q)   = filter(S_ia), i = live_in_ports(q)[k]
+//   hp_in_ports(q)     ascending in-ports i with a member at some r < q
+//   hp_cell_at(q, k)   filter(mux_{r<q} S_ia(i,j,r)), i = hp_in_ports(q)[k]
 //   offered(q)         S_oa(j,q)     = mux_i S_if(i,j,q)
 //   hp_filtered(q)     S_of(j,q)
 //   advertised(q)      Dmax(j,q)
 //
+// An in-port off live_in_ports(q) has a zero cell and filtered stream at
+// q, and one off hp_in_ports(q) a zero higher-priority union.  A switch
+// in RTnet (paper §5) has 19 in-ports and feeds each queue from a few, so
+// the k-way merges over in-ports take their inputs from the two lists
+// only: the kernels skip zero streams anyway, so they see the same
+// non-zero inputs in the same (ascending) order and every sum stays
+// bit-identical.
+//
 // check_point_view() composes the candidate's trial aggregates from those
 // accessors exactly the way the pre-snapshot BasicSwitchCac::check did
 // (the candidate's own cell is the only stream re-filtered; every other
-// input is consumed as-is), so a snapshot whose sections equal the live
-// caches yields a bitwise-identical CheckResult — the property the
+// input is consumed as-is, and the trial stream takes its own in-port's
+// place in the ascending list), so a snapshot whose sections equal the
+// live caches yields a bitwise-identical CheckResult — the property the
 // version-stamp protocol in concurrent_cac.h relies on.
 //
 // The check computes only the levels that gate its verdict, the window
 // [priority, priorities): a candidate cannot change the bound of a level
 // above its own, so those levels are neither computed nor read, and
-// their CheckResult::bounds entries stay nullopt.
+// their CheckResult::bounds entries stay nullopt.  A lower level with no
+// offered traffic has bound 0 whatever runs above it (Alg. 4.1 with no
+// arrivals), so its trial higher-priority union is not built.
 // BasicSwitchCac::check_from_scratch skips the same levels, so the two
 // still return the same window.  The committed-set bound D'(j,q) lives
 // on as SwitchCac::computed_bound (filled by prime_caches), not in the
@@ -55,9 +68,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -97,15 +112,22 @@ struct BasicSwitchCheckResult {
 /// set, not the switch size.  The streams are handles on the live
 /// caches' immutable blocks (core/bitstream.h): a rebuilt section copies
 /// handles, not segments.
+///
+/// Only the in-ports on the queue's two live lists are exported, each
+/// list with its streams in the same order (the View's filtered_at and
+/// hp_cell_at); an in-port off a list holds the zero stream there, in
+/// the live caches and so in the section.
 template <typename Num>
 struct BasicQueueSection {
   using Stream = BasicBitStream<Num>;
-  std::vector<Stream> cells;     ///< S_ia per in-port
-  std::vector<Stream> filtered;  ///< S_if per in-port
-  std::vector<Stream> hp_cells;  ///< higher-priority union per in-port
-  Stream offered;                ///< S_oa
-  Stream hp_filtered;            ///< S_of
-  Num advertised = Num(0);       ///< Dmax
+  std::vector<std::size_t> live_in_ports;  ///< in-ports with a member here
+  std::vector<Stream> cells;               ///< their S_ia
+  std::vector<Stream> filtered;            ///< their S_if
+  std::vector<std::size_t> hp_in_ports;    ///< in-ports with one above
+  std::vector<Stream> hp_cells;            ///< their higher-priority unions
+  Stream offered;                          ///< S_oa
+  Stream hp_filtered;                      ///< S_of
+  Num advertised = Num(0);                 ///< Dmax
 };
 
 /// Immutable snapshot of one out-port: one shared section per priority.
@@ -120,17 +142,24 @@ struct BasicPointSections {
   class View {
    public:
     explicit View(const BasicPointSections& owner) : owner_(owner) {}
+    /// In-port `in`'s S_ia at q: found by binary search on the live
+    /// list, the zero stream for an in-port off it.
     [[nodiscard]] const BasicBitStream<Num>& cell(std::size_t in,
                                                   Priority q) const {
-      return owner_.sections[q]->cells[in];
+      static const BasicBitStream<Num> zero;
+      const BasicQueueSection<Num>& s = *owner_.sections[q];
+      const auto at =
+          std::lower_bound(s.live_in_ports.begin(), s.live_in_ports.end(), in);
+      if (at == s.live_in_ports.end() || *at != in) return zero;
+      return s.cells[static_cast<std::size_t>(at - s.live_in_ports.begin())];
     }
-    [[nodiscard]] const BasicBitStream<Num>& filtered(std::size_t in,
-                                                      Priority q) const {
-      return owner_.sections[q]->filtered[in];
+    [[nodiscard]] const BasicBitStream<Num>& filtered_at(
+        Priority q, std::size_t k) const {
+      return owner_.sections[q]->filtered[k];
     }
-    [[nodiscard]] const BasicBitStream<Num>& hp_cell(std::size_t in,
-                                                     Priority q) const {
-      return owner_.sections[q]->hp_cells[in];
+    [[nodiscard]] const BasicBitStream<Num>& hp_cell_at(Priority q,
+                                                        std::size_t k) const {
+      return owner_.sections[q]->hp_cells[k];
     }
     [[nodiscard]] const BasicBitStream<Num>& offered(Priority q) const {
       return owner_.sections[q]->offered;
@@ -140,6 +169,13 @@ struct BasicPointSections {
     }
     [[nodiscard]] Num advertised(Priority q) const {
       return owner_.sections[q]->advertised;
+    }
+    [[nodiscard]] std::span<const std::size_t> live_in_ports(
+        Priority q) const {
+      return owner_.sections[q]->live_in_ports;
+    }
+    [[nodiscard]] std::span<const std::size_t> hp_in_ports(Priority q) const {
+      return owner_.sections[q]->hp_in_ports;
     }
 
    private:
@@ -169,6 +205,28 @@ template <typename Num>
   return os.str();
 }
 
+namespace detail {
+
+/// Appends the inputs of one k-way merge over in-ports to `parts`: the
+/// stream at(k) of the k-th in-port on the ascending list `ports`, for
+/// every k, with the candidate's `trial` at `in_port`'s place (instead of
+/// its own stream, when `in_port` is on the list).  Every in-port off the
+/// list holds the zero stream, which the merge skips, so the merge sees
+/// the inputs a pass over all in-ports would give it, in the same order.
+template <typename Num, typename StreamAt>
+void push_in_port_inputs(std::vector<SegmentSpan<Num>>& parts,
+                         std::span<const std::size_t> ports,
+                         std::size_t in_port, SegmentSpan<Num> trial,
+                         const StreamAt& at) {
+  std::size_t k = 0;
+  for (; k < ports.size() && ports[k] < in_port; ++k) parts.push_back(at(k));
+  parts.push_back(trial);
+  if (k < ports.size() && ports[k] == in_port) ++k;
+  for (; k < ports.size(); ++k) parts.push_back(at(k));
+}
+
+}  // namespace detail
+
 /// The paper's CAC check for one candidate at one out-port, over any
 /// View (live caches or immutable sections).  Steps 1-4 for the
 /// candidate's own priority, Step 5 for every lower level; levels above
@@ -176,8 +234,8 @@ template <typename Num>
 /// bounds, and are skipped (see the header comment).
 template <typename Num, typename View>
 [[nodiscard]] BasicSwitchCheckResult<Num> check_point_view(
-    const View& view, std::size_t in_ports, std::size_t priorities,
-    std::size_t out_port, std::size_t in_port, Priority priority,
+    const View& view, std::size_t priorities, std::size_t out_port,
+    std::size_t in_port, Priority priority,
     const BasicBitStream<Num>& arrival) {
   using Frame = typename detail::StreamScratch<Num>::Frame;
   using Span = detail::SegmentSpan<Num>;
@@ -197,19 +255,24 @@ template <typename Num, typename View>
     std::optional<Num> bound;
     if (q == priority) {
       // Candidate raises the offered load of its own queue; the traffic
-      // above it is unchanged.  Every other in-port contributes its
+      // above it is unchanged.  Every other live in-port contributes its
       // filtered stream untouched.
       Frame level;
       const Span trial =
           detail::filter_segments(trial_cell, Num(0), level.segments());
       std::vector<Span>& parts = level.spans();
-      for (std::size_t i = 0; i < in_ports; ++i) {
-        parts.push_back(i == in_port ? trial : view.filtered(i, q).segments());
-      }
+      detail::push_in_port_inputs<Num>(
+          parts, view.live_in_ports(q), in_port, trial,
+          [&](std::size_t k) { return view.filtered_at(q, k).segments(); });
       const Span offered =
           detail::multiplex_all_segments<Num>(parts, level.segments());
       bound = detail::delay_bound_segments(offered,
                                            view.hp_filtered(q).segments());
+    } else if (view.offered(q).is_zero()) {
+      // Nothing queues at level q, so nothing waits there, whatever the
+      // candidate adds above it (delay_bound_segments returns 0 for zero
+      // arrivals without reading the service side).
+      bound = Num(0);
     } else {
       // Candidate is higher-priority traffic for queue q; q's own
       // offered aggregate is unchanged.  Only in_port's higher-priority
@@ -226,10 +289,9 @@ template <typename Num, typename View>
       const Span trial_hp =
           detail::filter_segments(trial_union, Num(0), level.segments());
       std::vector<Span>& parts = level.spans();
-      for (std::size_t i = 0; i < in_ports; ++i) {
-        parts.push_back(i == in_port ? trial_hp
-                                     : view.hp_cell(i, q).segments());
-      }
+      detail::push_in_port_inputs<Num>(
+          parts, view.hp_in_ports(q), in_port, trial_hp,
+          [&](std::size_t k) { return view.hp_cell_at(q, k).segments(); });
       const Span hp_union =
           detail::multiplex_all_segments<Num>(parts, level.segments());
       const Span hp =

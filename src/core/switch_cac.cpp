@@ -24,15 +24,19 @@ BasicSwitchCac<Num>::BasicSwitchCac(const Config& config) : config_(config) {
                      BasicStreamMergeTree<Num>(config_.coalesce_budget));
   cell_counts_.assign(cells, 0);
   cell_members_.assign(cells, {});
+  live_in_ports_.assign(queues, {});
+  hp_in_ports_.assign(queues, {});
   filtered_cell_.assign(cells, Stream{});
   hp_cell_filtered_.assign(cells, Stream{});
   offered_cache_.assign(queues, Stream{});
   hp_filtered_cache_.assign(queues, Stream{});
   bound_cache_.assign(queues, std::nullopt);
-  // Everything starts dirty; the ensure_* accessors fill entries on first
-  // use, so a fresh switch never pays for caches it does not read.
-  filtered_cell_dirty_.assign(cells, 1);
-  hp_cell_dirty_.assign(cells, 1);
+  // Every cell is empty, so its derived streams are the zero streams they
+  // hold: clean, as update_in_port_lists() leaves an emptied cell's.  The
+  // per-queue entries start dirty; the ensure_* accessors fill them on
+  // first use, so a fresh switch never pays for caches it does not read.
+  filtered_cell_dirty_.assign(cells, 0);
+  hp_cell_dirty_.assign(cells, 0);
   offered_dirty_.assign(queues, 1);
   hp_filtered_dirty_.assign(queues, 1);
   bound_dirty_.assign(queues, 1);
@@ -115,6 +119,54 @@ void BasicSwitchCac<Num>::invalidate_cell(std::size_t in_port,
   }
 }
 
+namespace {
+
+/// Puts `in_port` on the ascending list `ports` or takes it off.
+void set_listed(std::vector<std::size_t>& ports, std::size_t in_port,
+                bool listed) {
+  const auto at = std::lower_bound(ports.begin(), ports.end(), in_port);
+  const bool present = at != ports.end() && *at == in_port;
+  if (listed && !present) {
+    ports.insert(at, in_port);
+  } else if (!listed && present) {
+    ports.erase(at);
+  }
+}
+
+}  // namespace
+
+template <typename Num>
+void BasicSwitchCac<Num>::update_in_port_lists(std::size_t in_port,
+                                               std::size_t out_port,
+                                               Priority priority) {
+  // Runs after invalidate_cell(in_port, out_port, priority), so its
+  // resets stand.  The batched mutators visit their cells in ascending
+  // index order: a later cell at this in-port and out-port has a larger
+  // priority, and its invalidation re-dirties only entries below it,
+  // which stay at zero only if that cell emptied too, and then its own
+  // update resets them again.
+  const std::size_t c = cell_index(in_port, out_port, priority);
+  const bool live = cell_counts_[c] > 0;
+  set_listed(live_in_ports_[queue_index(out_port, priority)], in_port, live);
+  if (!live) {
+    filtered_cell_[c] = Stream{};
+    filtered_cell_dirty_[c] = 0;
+  }
+  bool above = false;  // a member at some level < q on this in-port
+  for (Priority r = 0; r < priority; ++r) {
+    above = above || cell_counts_[cell_index(in_port, out_port, r)] > 0;
+  }
+  for (Priority q = priority + 1; q < config_.priorities; ++q) {
+    above = above || cell_counts_[cell_index(in_port, out_port, q - 1)] > 0;
+    set_listed(hp_in_ports_[queue_index(out_port, q)], in_port, above);
+    if (!above) {
+      const std::size_t hc = cell_index(in_port, out_port, q);
+      hp_cell_filtered_[hc] = Stream{};
+      hp_cell_dirty_[hc] = 0;
+    }
+  }
+}
+
 // The ensure_* fills compute in a scratch frame of their own
 // (core/stream_scratch.h) — they may run in the middle of a check, whose
 // frame lies below — and keep only the final stream: an input the
@@ -163,25 +215,23 @@ const typename BasicSwitchCac<Num>::Stream&
 BasicSwitchCac<Num>::ensure_hp_cell(std::size_t in_port, std::size_t out_port,
                                     Priority priority) const {
   const std::size_t c = cell_index(in_port, out_port, priority);
+  // Never dirty at priority 0: no level lies above it, so its union stays
+  // the zero stream the constructor put there.
   if (hp_cell_dirty_[c] != 0) {
-    if (priority == 0) {
-      hp_cell_filtered_[c] = Stream{};
-    } else {
-      typename detail::StreamScratch<Num>::Frame frame;
-      const auto cell = [&](std::size_t q) -> const Stream& {
-        return arrival_aggr_[cell_index(in_port, out_port,
-                                        static_cast<Priority>(q))];
-      };
-      std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
-      for (Priority q = 0; q < priority; ++q) {
-        parts.push_back(cell(q).segments());
-      }
-      const detail::SegmentSpan<Num> hp_union =
-          detail::multiplex_all_segments<Num>(parts, frame.segments());
-      hp_cell_filtered_[c] = keep_result<Num>(
-          detail::filter_segments(hp_union, Num(0), frame.segments()),
-          priority, cell);
+    typename detail::StreamScratch<Num>::Frame frame;
+    const auto cell = [&](std::size_t q) -> const Stream& {
+      return arrival_aggr_[cell_index(in_port, out_port,
+                                      static_cast<Priority>(q))];
+    };
+    std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
+    for (Priority q = 0; q < priority; ++q) {
+      parts.push_back(cell(q).segments());
     }
+    const detail::SegmentSpan<Num> hp_union =
+        detail::multiplex_all_segments<Num>(parts, frame.segments());
+    hp_cell_filtered_[c] = keep_result<Num>(
+        detail::filter_segments(hp_union, Num(0), frame.segments()),
+        priority, cell);
     hp_cell_dirty_[c] = 0;
   }
   return hp_cell_filtered_[c];
@@ -195,13 +245,14 @@ BasicSwitchCac<Num>::ensure_offered(std::size_t out_port,
   if (offered_dirty_[q] != 0) {
     typename detail::StreamScratch<Num>::Frame frame;
     std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
-    for (std::size_t i = 0; i < config_.in_ports; ++i) {
+    const std::vector<std::size_t>& live = live_in_ports_[q];
+    for (const std::size_t i : live) {
       parts.push_back(ensure_filtered_cell(i, out_port, priority).segments());
     }
     offered_cache_[q] = keep_result<Num>(
         detail::multiplex_all_segments<Num>(parts, frame.segments()),
-        config_.in_ports, [&](std::size_t i) -> const Stream& {
-          return filtered_cell_[cell_index(i, out_port, priority)];
+        live.size(), [&](std::size_t k) -> const Stream& {
+          return filtered_cell_[cell_index(live[k], out_port, priority)];
         });
     offered_dirty_[q] = 0;
   }
@@ -216,7 +267,8 @@ BasicSwitchCac<Num>::ensure_hp_filtered(std::size_t out_port,
   if (hp_filtered_dirty_[q] != 0) {
     typename detail::StreamScratch<Num>::Frame frame;
     std::vector<detail::SegmentSpan<Num>>& parts = frame.spans();
-    for (std::size_t i = 0; i < config_.in_ports; ++i) {
+    const std::vector<std::size_t>& above = hp_in_ports_[q];
+    for (const std::size_t i : above) {
       parts.push_back(ensure_hp_cell(i, out_port, priority).segments());
     }
     // The higher-priority traffic leaves through the same unit-rate
@@ -225,8 +277,8 @@ BasicSwitchCac<Num>::ensure_hp_filtered(std::size_t out_port,
         detail::multiplex_all_segments<Num>(parts, frame.segments());
     hp_filtered_cache_[q] = keep_result<Num>(
         detail::filter_segments(hp_union, Num(0), frame.segments()),
-        config_.in_ports, [&](std::size_t i) -> const Stream& {
-          return hp_cell_filtered_[cell_index(i, out_port, priority)];
+        above.size(), [&](std::size_t k) -> const Stream& {
+          return hp_cell_filtered_[cell_index(above[k], out_port, priority)];
         });
     hp_filtered_dirty_[q] = 0;
   }
@@ -251,10 +303,10 @@ const std::optional<Num>& BasicSwitchCac<Num>::ensure_bound(
 }
 
 /// Live-cache view for check_point_view (core/point_snapshot.h): every
-/// accessor forwards to the dirty-tracked caches of one out-port.  The
-/// caches fill lazily on first use, so a check on an unprimed switch
-/// still works — and on a *primed* switch (the concurrency layer's
-/// invariant) every accessor is a pure read.
+/// accessor forwards to the dirty-tracked caches and the live in-port
+/// lists of one out-port.  The caches fill lazily on first use, so a
+/// check on an unprimed switch still works — and on a *primed* switch
+/// (the concurrency layer's invariant) every accessor is a pure read.
 template <typename Num>
 struct BasicSwitchCac<Num>::CheckView {
   const BasicSwitchCac& cac;
@@ -263,11 +315,13 @@ struct BasicSwitchCac<Num>::CheckView {
   [[nodiscard]] const Stream& cell(std::size_t in, Priority q) const {
     return cac.arrival_aggr_[cac.cell_index(in, out_port, q)];
   }
-  [[nodiscard]] const Stream& filtered(std::size_t in, Priority q) const {
-    return cac.ensure_filtered_cell(in, out_port, q);
+  [[nodiscard]] const Stream& filtered_at(Priority q, std::size_t k) const {
+    return cac.ensure_filtered_cell(
+        cac.live_in_ports_[cac.queue_index(out_port, q)][k], out_port, q);
   }
-  [[nodiscard]] const Stream& hp_cell(std::size_t in, Priority q) const {
-    return cac.ensure_hp_cell(in, out_port, q);
+  [[nodiscard]] const Stream& hp_cell_at(Priority q, std::size_t k) const {
+    return cac.ensure_hp_cell(cac.hp_in_ports_[cac.queue_index(out_port, q)][k],
+                              out_port, q);
   }
   [[nodiscard]] const Stream& offered(Priority q) const {
     return cac.ensure_offered(out_port, q);
@@ -277,6 +331,12 @@ struct BasicSwitchCac<Num>::CheckView {
   }
   [[nodiscard]] Num advertised(Priority q) const {
     return cac.advertised_[cac.queue_index(out_port, q)];
+  }
+  [[nodiscard]] std::span<const std::size_t> live_in_ports(Priority q) const {
+    return cac.live_in_ports_[cac.queue_index(out_port, q)];
+  }
+  [[nodiscard]] std::span<const std::size_t> hp_in_ports(Priority q) const {
+    return cac.hp_in_ports_[cac.queue_index(out_port, q)];
   }
 };
 
@@ -339,7 +399,7 @@ typename BasicSwitchCac<Num>::CheckResult BasicSwitchCac<Num>::check(
   // re-filtered.  The exported-snapshot path runs the same template
   // over BasicPointSections, so the two stay decision- and
   // string-identical by construction.
-  return check_point_view<Num>(CheckView{*this, out_port}, config_.in_ports,
+  return check_point_view<Num>(CheckView{*this, out_port},
                                config_.priorities, out_port, in_port,
                                priority, arrival);
 }
@@ -395,6 +455,7 @@ void BasicSwitchCac<Num>::add(ConnectionId id, std::size_t in_port,
   ++cell_counts_[idx];
   cell_members_[idx].push_back(id);
   invalidate_cell(in_port, out_port, priority);
+  if (cell_counts_[idx] == 1) update_in_port_lists(in_port, out_port, priority);
   audit_invariants();
 }
 
@@ -532,6 +593,9 @@ void BasicSwitchCac<Num>::rebuild_cells(std::vector<std::size_t>& touched) {
     // not k times, and never a full refold.
     arrival_aggr_[idx] = cell_trees_[idx].aggregate(stream_arena_);
     invalidate_cell(in_port, out_port, priority);
+    if (cell_counts_[idx] == 0) {
+      update_in_port_lists(in_port, out_port, priority);
+    }
   }
 }
 
@@ -571,6 +635,7 @@ bool BasicSwitchCac<Num>::remove(ConnectionId id) {
   // node merges instead of the old full refold.
   arrival_aggr_[idx] = cell_trees_[idx].aggregate(stream_arena_);
   invalidate_cell(in_port, out_port, priority);
+  if (cell_counts_[idx] == 0) update_in_port_lists(in_port, out_port, priority);
   audit_invariants();
   return true;
 }
@@ -659,6 +724,23 @@ bool BasicSwitchCac<Num>::state_consistent() const {
       }
     }
   }
+  // The live in-port lists are what the member counts make of them.
+  for (std::size_t j = 0; j < config_.out_ports; ++j) {
+    std::vector<char> above(config_.in_ports, 0);
+    for (Priority p = 0; p < config_.priorities; ++p) {
+      std::vector<std::size_t> live;
+      std::vector<std::size_t> hp;
+      for (std::size_t i = 0; i < config_.in_ports; ++i) {
+        if (above[i] != 0) hp.push_back(i);
+        if (cell_counts_[cell_index(i, j, p)] > 0) {
+          live.push_back(i);
+          above[i] = 1;
+        }
+      }
+      const std::size_t q = queue_index(j, p);
+      if (live != live_in_ports_[q] || hp != hp_in_ports_[q]) return false;
+    }
+  }
   // Membership index and record map must describe the same connection set.
   std::size_t indexed = 0;
   for (const auto& members : cell_members_) indexed += members.size();
@@ -713,6 +795,16 @@ bool BasicSwitchCac<Num>::cache_coherent() const {
     for (std::size_t j = 0; j < config_.out_ports; ++j) {
       for (Priority p = 0; p < config_.priorities; ++p) {
         const std::size_t c = cell_index(i, j, p);
+        // No fill visits an in-port off the live lists, so its entries
+        // must already be clean (at zero, which the checks below verify).
+        if (cell_counts_[c] == 0 && filtered_cell_dirty_[c] != 0) {
+          return false;
+        }
+        const std::vector<std::size_t>& hp = hp_in_ports_[queue_index(j, p)];
+        if (hp_cell_dirty_[c] != 0 &&
+            !std::binary_search(hp.begin(), hp.end(), i)) {
+          return false;
+        }
         if (filtered_cell_dirty_[c] == 0 &&
             !filtered_cell_[c].nearly_equal(filter(arrival_aggr_[c]))) {
           return false;
@@ -787,10 +879,12 @@ template <typename Num>
 void BasicSwitchCac<Num>::prime_caches() const {
   for (std::size_t j = 0; j < config_.out_ports; ++j) {
     for (Priority p = 0; p < config_.priorities; ++p) {
-      // ensure_offered fills every filtered cell of queue (j, p) and
-      // ensure_hp_filtered every higher-priority union, so after this
-      // sweep no dirty flag is left set anywhere.  ensure_bound alone is
-      // not enough: it skips the hp aggregate when the queue is idle.
+      // ensure_offered fills the filtered cell of every live in-port of
+      // queue (j, p) and ensure_hp_filtered the higher-priority union of
+      // every in-port with traffic above p; the mutators keep all other
+      // entries clean at zero, so after this sweep no dirty flag is left
+      // set anywhere.  ensure_bound alone is not enough: it skips the hp
+      // aggregate when the queue is idle.
       (void)ensure_offered(j, p);
       (void)ensure_hp_filtered(j, p);
       (void)ensure_bound(j, p);
@@ -822,18 +916,27 @@ BasicSwitchCac<Num>::export_point_sections(
       sections->sections[p] = previous->sections[p];
       continue;
     }
+    // Only the listed in-ports' streams are copied, in list order; every
+    // other in-port holds the zero stream there.
+    const std::size_t q = queue_index(out_port, p);
+    const std::vector<std::size_t>& live = live_in_ports_[q];
+    const std::vector<std::size_t>& above = hp_in_ports_[q];
     auto section = std::make_shared<BasicQueueSection<Num>>();
-    section->cells.reserve(config_.in_ports);
-    section->filtered.reserve(config_.in_ports);
-    section->hp_cells.reserve(config_.in_ports);
-    for (std::size_t i = 0; i < config_.in_ports; ++i) {
-      section->cells.push_back(arrival_aggregate(i, out_port, p));
+    section->live_in_ports = live;
+    section->cells.reserve(live.size());
+    section->filtered.reserve(live.size());
+    for (const std::size_t i : live) {
+      section->cells.push_back(arrival_aggr_[cell_index(i, out_port, p)]);
       section->filtered.push_back(ensure_filtered_cell(i, out_port, p));
+    }
+    section->hp_in_ports = above;
+    section->hp_cells.reserve(above.size());
+    for (const std::size_t i : above) {
       section->hp_cells.push_back(ensure_hp_cell(i, out_port, p));
     }
     section->offered = ensure_offered(out_port, p);
     section->hp_filtered = ensure_hp_filtered(out_port, p);
-    section->advertised = advertised_[queue_index(out_port, p)];
+    section->advertised = advertised_[q];
     sections->sections[p] = std::move(section);
   }
   return sections;

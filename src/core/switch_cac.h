@@ -42,7 +42,19 @@
 // everything else survives, so check() composes cached streams with the
 // candidate via the k-way multiplex_all instead of re-folding the whole
 // switch, and only at the levels that gate its verdict (the candidate's
-// priority and below; core/point_snapshot.h).  check_from_scratch() keeps
+// priority and below; core/point_snapshot.h).  Each queue (j, q) also
+// keeps two ascending in-port lists, the View's live_in_ports(q) and
+// hp_in_ports(q): the in-ports whose cell (i, j, q) has a member, and
+// those with a member at some priority above q.  They change only when a
+// cell's member count crosses between 0 and 1, and the merges over
+// in-ports (the check, the offered and higher-priority fills, the
+// snapshot export) read only the in-ports on them.  The mutation that
+// empties a cell also resets the derived streams it leaves at zero (its
+// filtered stream, and the higher-priority union of every level below it
+// on an in-port with nothing left above) to the zero stream, marked
+// clean: no fill visits them while their in-port is off the list, and a
+// primed switch keeps no dirty entry and no stale block.
+// check_from_scratch() keeps
 // the pre-optimization fold over the same levels: it is the oracle the
 // cache-coherence property tests compare against and the baseline the
 // admission benchmark measures.  Under RTCAC_CONTRACT_AUDIT every mutation
@@ -275,7 +287,9 @@ class BasicSwitchCac {
   /// that every cached aggregate equals the mux of its component streams
   /// (within tolerance).  In coalescing mode the aggregate must instead
   /// dominate the exact mux pointwise with the tail rate preserved (the
-  /// conservative contract).  Test/diagnostic hook; O(n).
+  /// conservative contract).  The live in-port lists of every queue must
+  /// equal the lists rebuilt from the member counts.  Test/diagnostic
+  /// hook; O(n).
   [[nodiscard]] bool state_consistent() const;
 
   /// Verifies sustained-bandwidth conservation: for every S_ia cell, the
@@ -287,12 +301,15 @@ class BasicSwitchCac {
 
   /// Verifies that every *clean* (non-dirty) derived-stream/bound cache
   /// entry equals its from-scratch recomputation.  Dirty entries are
-  /// skipped: they are recomputed on next use by construction.
-  /// Test/diagnostic hook; O(n).
+  /// skipped: they are recomputed on next use by construction — except
+  /// the per-cell entries of an in-port off the queue's live lists, which
+  /// no fill visits and so must be clean.  Test/diagnostic hook; O(n).
   [[nodiscard]] bool cache_coherent() const;
 
   /// Fills every lazy derived-stream/bound cache so no entry is left
-  /// dirty.  The concurrency layer (core/concurrent_cac.h) calls this
+  /// dirty: the fills visit the live in-ports of each queue, and the
+  /// mutators keep every other in-port's entries clean at the zero
+  /// stream.  The concurrency layer (core/concurrent_cac.h) calls this
   /// after every mutation, before releasing the shard's exclusive lock:
   /// a fully primed switch makes check() and the bound queries genuinely
   /// read-only, so any number of readers may run them concurrently under
@@ -361,6 +378,16 @@ class BasicSwitchCac {
   void invalidate_cell(std::size_t in_port, std::size_t out_port,
                        Priority priority);
 
+  /// Brings in-port `in_port`'s entries of the live lists of queues
+  /// (out_port, q >= priority) in line with the member counts, after cell
+  /// (in_port, out_port, priority) crossed between 0 and 1 members and
+  /// was invalidated.  A derived entry the crossing leaves at zero (the
+  /// emptied cell's filtered stream, the higher-priority union of a level
+  /// with nothing left above it on this in-port) is reset to the zero
+  /// stream and marked clean.
+  void update_in_port_lists(std::size_t in_port, std::size_t out_port,
+                            Priority priority);
+
   /// Erases one record plus its index/aggregate bookkeeping — tree leaf,
   /// membership, lease index — WITHOUT re-merging the touched cell;
   /// returns its cell index.  Shared by remove(), remove_many() and the
@@ -388,10 +415,11 @@ class BasicSwitchCac {
   [[nodiscard]] const Stream& ensure_hp_cell(std::size_t in_port,
                                              std::size_t out_port,
                                              Priority priority) const;
-  /// S_oa(j,p) = mux_i S_if(i,j,p).
+  /// S_oa(j,p) = mux_i S_if(i,j,p), over the queue's live in-ports.
   [[nodiscard]] const Stream& ensure_offered(std::size_t out_port,
                                              Priority priority) const;
-  /// S_of(j,p) = filter(mux_i ensure_hp_cell(i,j,p)).
+  /// S_of(j,p) = filter(mux_i ensure_hp_cell(i,j,p)), over the in-ports
+  /// with traffic above p.
   [[nodiscard]] const Stream& ensure_hp_filtered(std::size_t out_port,
                                                  Priority priority) const;
   /// D'(j,p) over the committed set (no trial stream).
@@ -425,6 +453,11 @@ class BasicSwitchCac {
   std::vector<Num> advertised_;        // [out * priorities + prio]
   std::vector<Stream> arrival_aggr_;   // S_ia per (in, out, prio)
   std::vector<std::size_t> cell_counts_;  // #connections per (in, out, prio)
+  // Per (out, prio) queue, ascending: the in-ports whose cell has a
+  // member, and the in-ports with a member at a higher priority.  Derived
+  // from cell_counts_ (state_consistent() rebuilds and compares them).
+  std::vector<std::vector<std::size_t>> live_in_ports_;
+  std::vector<std::vector<std::size_t>> hp_in_ports_;
   // Membership index: ids per S_ia cell in insertion order, so rebuilds
   // and per-queue queries never scan the full record map.
   std::vector<std::vector<ConnectionId>> cell_members_;
@@ -445,8 +478,9 @@ class BasicSwitchCac {
 
   // Derived-stream caches (indexes mirror arrival_aggr_ / advertised_),
   // rebuilt lazily by the ensure_* accessors; `..._dirty_` set by
-  // invalidate_cell().  Mutable: check() and the bound queries are
-  // logically const.
+  // invalidate_cell(), and an entry an emptied cell leaves at zero reset
+  // clean by update_in_port_lists().  Mutable: check() and the bound
+  // queries are logically const.
   mutable std::vector<Stream> filtered_cell_;        // per cell
   mutable std::vector<Stream> hp_cell_filtered_;     // per cell
   mutable std::vector<Stream> offered_cache_;        // per (out, prio)

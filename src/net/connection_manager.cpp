@@ -336,15 +336,12 @@ void ConnectionManager::complete_modify(ConnectionId id,
   const std::vector<PathEvaluator::Hop> views = eval_hops(it->second.hops);
   // The acquire side was already committed hop by hop under the
   // provisional id by the MODIFY walk; run the DeltaTransaction epilogue
-  // (release old, rebind provisional onto the stable id).
+  // (release old, rebind provisional onto the stable id).  MODIFIED
+  // confirmed the swap end to end, so the rebind commits every hop under
+  // the permanent lease, as CONNECTED does for a setup.
   PathEvaluator::finalize_delta(views, views, id, provisional,
                                 new_request.priority, arrivals,
                                 SwitchCac::kPermanentLease);
-  for (const HopRef& hop : it->second.hops) {
-    // MODIFIED confirmed the swap end to end; the rebound reservations
-    // stop being provisional, exactly as CONNECTED does for a setup.
-    policy_point(hop.node).make_permanent(id);
-  }
   it->second.request = new_request;
 }
 

@@ -239,8 +239,8 @@ class ConnectionManager {
   /// Signaling support: completes a distributed MODIFY whose new
   /// reservations were already committed hop by hop under `provisional`
   /// (the kModify walk).  Runs the DeltaTransaction epilogue — release
-  /// the old descriptor, rebind `provisional` onto the stable id — then
-  /// makes the reservations permanent and swings the record's request.
+  /// the old descriptor, rebind `provisional` onto the stable id under
+  /// the permanent lease — and swings the record's request.
   /// `arrivals` are the per-hop prepared arrivals of the new descriptor,
   /// in record-hop order.  Throws on an unknown id.
   void complete_modify(ConnectionId id, ConnectionId provisional,

@@ -294,14 +294,14 @@ void expect_admitted_checks_allocate_only_bounds() {
   // The exported sections run the same check over immutable data.
   const auto sections = cac.export_point_sections(0, nullptr, {});
   for (const Candidate& c : candidates()) {
-    (void)check_point_view<Num>(sections->view(), kInPorts, kPriorities, 0,
-                                c.in_port, c.priority, arrival);
+    (void)check_point_view<Num>(sections->view(), kPriorities, 0, c.in_port,
+                                c.priority, arrival);
   }
   for (const Candidate& c : candidates()) {
     BasicSwitchCheckResult<Num> result;
     const std::size_t n = allocations_during([&] {
-      result = check_point_view<Num>(sections->view(), kInPorts, kPriorities,
-                                     0, c.in_port, c.priority, arrival);
+      result = check_point_view<Num>(sections->view(), kPriorities, 0,
+                                     c.in_port, c.priority, arrival);
     });
     ASSERT_TRUE(result.admitted) << result.reason;
     EXPECT_LE(n, 1u) << "in-port " << c.in_port << " priority "

@@ -7,11 +7,17 @@
 // reclaim() equivalent to removing the expired ids one at a time.  The
 // Rational instantiation pins the equivalences exactly; the double one
 // within NumTraits tolerance.
+//
+// The wide-switch cases also run with traffic on only a few in-ports, the
+// shape the live in-port lists serve (a check, fill or export merges only
+// the in-ports on them): every mutator drives the lists, and candidates
+// land on a dead in-port and at both ends of the in-port range.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <vector>
@@ -52,6 +58,27 @@ BitStream long_arrival(Xorshift& rng) {
 }
 
 template <typename Num>
+Num ratio(std::int64_t num, std::int64_t den) {
+  if constexpr (NumTraits<Num>::kExact) {
+    return Num(num, den);
+  } else {
+    return static_cast<double>(num) / static_cast<double>(den);
+  }
+}
+
+/// A peak-then-sustained stream on a dyadic grid (peak k/64, sustained
+/// 1/8 to 1/2 of it, burst end at an integer), exact in both scalars.
+template <typename Num>
+BasicBitStream<Num> two_step_arrival(Xorshift& rng) {
+  using Seg = BasicSegment<Num>;
+  const auto peak = static_cast<std::int64_t>(1 + rng.below(8));
+  const auto share = static_cast<std::int64_t>(1 + rng.below(4));
+  const auto burst = static_cast<std::int64_t>(1 + rng.below(64));
+  return BasicBitStream<Num>{Seg{ratio<Num>(peak, 64), Num(0)},
+                             Seg{ratio<Num>(peak * share, 512), Num(burst)}};
+}
+
+template <typename Num>
 void expect_same_decision(
     const BasicSwitchCheckResult<Num>& fast,
     const BasicSwitchCheckResult<Num>& slow) {
@@ -65,6 +92,24 @@ void expect_same_decision(
           NumTraits<Num>::nearly_equal(*fast.bounds[q], *slow.bounds[q]))
           << "priority " << q;
     }
+  }
+}
+
+/// The cached check against check_from_scratch: bit for bit (bounds and
+/// reason) for the exact scalar, as expect_same_decision for double.
+template <typename Num>
+void expect_check_matches_scratch(const BasicSwitchCac<Num>& cac,
+                                  std::size_t in, std::size_t out,
+                                  Priority prio,
+                                  const BasicBitStream<Num>& arrival) {
+  const auto fast = cac.check(in, out, prio, arrival);
+  const auto slow = cac.check_from_scratch(in, out, prio, arrival);
+  if constexpr (NumTraits<Num>::kExact) {
+    ASSERT_EQ(fast.admitted, slow.admitted) << "in-port " << in;
+    ASSERT_EQ(fast.reason, slow.reason) << "in-port " << in;
+    ASSERT_EQ(fast.bounds, slow.bounds) << "in-port " << in;
+  } else {
+    expect_same_decision(fast, slow);
   }
 }
 
@@ -208,6 +253,112 @@ void churn_check_matches_from_scratch(std::uint64_t seed,
   }
 }
 
+/// Traffic on 3 to 5 in-ports of a wide switch, as an RTnet switch (paper
+/// §5: 19 in-ports) feeds each queue from a few, driven by add, remove,
+/// rekey, reclaim and remove_many.  Before every step the cached check
+/// must agree with check_from_scratch for candidates at a dead in-port,
+/// at in-ports 0 and in_ports - 1 (each active on a coin flip, so the
+/// trial stream lands on the list, before it or after it) and at an
+/// active in-port.  Out-port 1 never carries the lowest priority, so a
+/// candidate there above it finds that level idle.  After every step
+/// the audits hold, and a primed copy keeps no dirty entry.
+template <typename Num>
+void sparse_churn_matches_from_scratch(
+    std::uint64_t seed, const typename BasicSwitchCac<Num>::Config& cfg) {
+  ASSERT_GE(cfg.in_ports, 8u);
+  ASSERT_GE(cfg.priorities, 2u);
+  Xorshift rng(seed * 7919 + 17);
+  BasicSwitchCac<Num> cac(cfg);
+  const std::size_t last = cfg.in_ports - 1;
+  std::vector<std::size_t> active;
+  if (rng.chance(0.5)) active.push_back(0);
+  if (rng.chance(0.5)) active.push_back(last);
+  const std::size_t want = 3 + rng.below(3);
+  while (active.size() < want) {
+    const std::size_t in = 1 + rng.below(last - 1);
+    if (std::find(active.begin(), active.end(), in) == active.end()) {
+      active.push_back(in);
+    }
+  }
+  std::vector<std::size_t> dead;
+  for (std::size_t in = 0; in < cfg.in_ports; ++in) {
+    if (std::find(active.begin(), active.end(), in) == active.end()) {
+      dead.push_back(in);
+    }
+  }
+
+  struct Placement {
+    std::size_t in;
+    std::size_t out;
+    Priority prio;
+  };
+  std::map<ConnectionId, Placement> live;
+  const auto pick = [&] {
+    auto it = live.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+    return it->first;
+  };
+  const auto lease = [&](double now) {
+    return rng.chance(0.3) ? now + static_cast<double>(rng.below(20))
+                           : BasicSwitchCac<Num>::kPermanentLease;
+  };
+  ConnectionId next_id = 1;
+  double now = 0.0;
+  for (int step = 0; step < 40; ++step) {
+    const BasicBitStream<Num> arrival = two_step_arrival<Num>(rng);
+    const std::size_t out = rng.below(cfg.out_ports);
+    const auto prio = static_cast<Priority>(rng.below(cfg.priorities));
+    for (const std::size_t in : {dead[rng.below(dead.size())], std::size_t{0},
+                                 last, active[rng.below(active.size())]}) {
+      expect_check_matches_scratch(cac, in, out, prio, arrival);
+    }
+
+    const std::uint64_t action = rng.below(10);
+    if (action < 5 || live.empty()) {
+      const Placement at{active[rng.below(active.size())], out,
+                         out == 1 ? static_cast<Priority>(
+                                        rng.below(cfg.priorities - 1))
+                                  : prio};
+      cac.add(next_id, at.in, at.out, at.prio, arrival, lease(now));
+      live.emplace(next_id++, at);
+    } else if (action < 7) {
+      const ConnectionId victim = pick();
+      EXPECT_TRUE(cac.remove(victim));
+      live.erase(victim);
+    } else if (action == 7) {
+      const ConnectionId from = pick();
+      const Placement at = live.at(from);
+      cac.rekey(from, next_id, at.in, at.out, at.prio, lease(now));
+      live.erase(from);
+      live.emplace(next_id++, at);
+    } else if (action == 8) {
+      now += static_cast<double>(rng.below(15));
+      for (const ConnectionId id : cac.reclaim(now)) live.erase(id);
+    } else {
+      // A few known ids, one of them twice, and one unknown id.
+      std::vector<ConnectionId> ids{pick(), pick(), next_id + 1000};
+      ids.push_back(ids.front());
+      std::vector<ConnectionId> known(ids.begin(), ids.begin() + 2);
+      std::sort(known.begin(), known.end());
+      known.erase(std::unique(known.begin(), known.end()), known.end());
+      EXPECT_EQ(cac.remove_many(ids), known.size());
+      for (const ConnectionId id : known) live.erase(id);
+    }
+    ASSERT_EQ(cac.connection_count(), live.size());
+    ASSERT_TRUE(cac.state_consistent());
+    ASSERT_TRUE(cac.cache_coherent());
+    const BasicSwitchCac<Num> primed = cac;
+    primed.prime_caches();
+    ASSERT_TRUE(primed.dirty_queue_keys().empty());
+    ASSERT_TRUE(primed.cache_coherent());
+  }
+  for (const std::size_t in : dead) {
+    for (std::size_t j = 0; j < cfg.out_ports; ++j) {
+      EXPECT_TRUE(cac.arrival_aggregate(in, j, 0).is_zero());
+    }
+  }
+}
+
 TEST_P(CacheCoherenceTest, CheckMatchesFromScratchUnderChurn) {
   SwitchCac::Config cfg;
   cfg.in_ports = 3;
@@ -226,6 +377,7 @@ TEST_P(CacheCoherenceTest, CheckMatchesFromScratchUnderChurnOnWideSwitch) {
   cfg.priorities = 3;
   cfg.advertised_bound = 256.0;
   churn_check_matches_from_scratch(GetParam(), cfg, true);
+  sparse_churn_matches_from_scratch<double>(GetParam(), cfg);
 }
 
 TEST_P(CacheCoherenceTest, CachedBoundsMatchFreshTwin) {
@@ -423,6 +575,7 @@ TEST_P(CacheCoherenceTest, ExactInstantiationAgreesExactlyOnWideSwitch) {
   cfg.priorities = 2;
   cfg.advertised_bound = Rational(256);
   exact_check_matches_from_scratch(GetParam(), cfg, true);
+  sparse_churn_matches_from_scratch<Rational>(GetParam(), cfg);
 }
 
 TEST(CacheCoherence, QueueIndexedQueriesMatchRecordScan) {

@@ -49,6 +49,11 @@ struct SwitchCacTestAccess {
                                  std::size_t out_port, Priority priority) {
     return cac.queue_index(out_port, priority);
   }
+  template <typename Num>
+  static std::vector<std::vector<std::size_t>>& live_in_ports(
+      BasicSwitchCac<Num>& cac) {
+    return cac.live_in_ports_;
+  }
 };
 
 namespace {
@@ -162,6 +167,28 @@ TEST(InvariantAudit, SwitchCacCacheCoherenceIsAudited) {
       multiplex(offered[q], TrafficDescriptor::cbr(0.2).to_bitstream());
   ASSERT_FALSE(cac.cache_coherent());
   EXPECT_THROW(cac.add(3, 1, 0, 0, s), ContractViolation);
+}
+
+TEST(InvariantAudit, SwitchCacLiveInPortListsAreAudited) {
+  RTCAC_SKIP_UNLESS_THROWING_AUDITS();
+  SwitchCac::Config cfg;
+  cfg.in_ports = 4;
+  cfg.out_ports = 2;
+  cfg.priorities = 2;
+  SwitchCac cac(cfg);
+  const BitStream s = TrafficDescriptor::cbr(0.2).to_bitstream();
+  cac.add(1, 2, 0, 0, s);
+  cac.add(2, 3, 0, 0, s);
+  ASSERT_TRUE(cac.state_consistent());
+  // Point queue (0, 0)'s list at a dead in-port in place of in-port 2:
+  // a check there would merge in-port 1's zero stream and miss in-port
+  // 2's traffic.  The next mutation, at the other out-port, must notice.
+  auto& lists = SwitchCacTestAccess::live_in_ports(cac);
+  auto& live = lists[SwitchCacTestAccess::queue_index(cac, 0, 0)];
+  ASSERT_EQ(live, (std::vector<std::size_t>{2, 3}));
+  live.front() = 1;
+  ASSERT_FALSE(cac.state_consistent());
+  EXPECT_THROW(cac.add(3, 0, 1, 0, s), ContractViolation);
 }
 
 TEST(InvariantAudit, EventQueuePopMonotonicityIsAudited) {

@@ -2,8 +2,8 @@
 //
 // cac-cache-state positive fixture: cache/dirty state — and the
 // mergeable-aggregate storage (merge trees, segment arena, lease
-// index) — touched from a query accessor instead of the
-// cache-management members.
+// index) and the live in-port lists — touched from a query accessor
+// instead of the cache-management members.
 
 #include "core/switch_cac.h"
 
@@ -29,6 +29,12 @@ double BasicSwitchCac<Num>::peek_tree(std::size_t cell) {
 template <typename Num>
 std::size_t BasicSwitchCac<Num>::lease_count() const {
   return lease_index_.size();  // expect: cac-cache-state
+}
+
+template <typename Num>
+std::size_t BasicSwitchCac<Num>::live_inputs(std::size_t queue) const {
+  // The lists change only with the member counts, in the mutators.
+  return live_in_ports_[queue].size();  // expect: cac-cache-state
 }
 
 }  // namespace rtcac

@@ -1,8 +1,9 @@
 // lint-fixture-dest: src/core/switch_cac.cpp
 //
 // cac-cache-state negative fixture: the cache-management members
-// (ensure_* / invalidate_* / rebuild_cell* / rekey / lease bookkeeping /
-// arena_stats / audits) own that state, merge trees and arena included.
+// (ensure_* / invalidate_* / rebuild_cell* / update_in_port_lists /
+// rekey / lease bookkeeping / arena_stats / audits) own that state, merge
+// trees, arena and live in-port lists included.
 
 #include "core/switch_cac.h"
 
@@ -31,6 +32,12 @@ template <typename Num>
 void BasicSwitchCac<Num>::rekey(std::size_t cell, double expiry) {
   lease_index_.emplace(expiry, 0);
   cell_members_[cell].push_back(0);
+}
+
+template <typename Num>
+void BasicSwitchCac<Num>::update_in_port_lists(std::size_t queue,
+                                               std::size_t in_port) {
+  hp_in_ports_[queue].push_back(in_port);
 }
 
 template <typename Num>

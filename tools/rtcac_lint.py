@@ -47,22 +47,27 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
 
   cac-cache-state   BasicSwitchCac's aggregate and derived-stream
                     cache state (arrival_aggr_, cell_members_,
-                    cell_counts_, the *_cache_ streams and their
-                    *_dirty_ flags) plus the mergeable-aggregate
-                    storage behind it (cell_trees_, stream_arena_,
-                    lease_index_ — docs/PERFORMANCE.md, "Mergeable
-                    aggregates") may be read or written only inside
-                    the cache-management member functions of
+                    cell_counts_, the live in-port lists
+                    live_in_ports_/hp_in_ports_, the *_cache_ streams
+                    and their *_dirty_ flags) plus the
+                    mergeable-aggregate storage behind it (cell_trees_,
+                    stream_arena_, lease_index_ — docs/PERFORMANCE.md,
+                    "Mergeable aggregates") may be read or written only
+                    inside the cache-management member functions of
                     src/core/switch_cac.cpp (constructor, add/remove/
                     reclaim, rekey (which moves a record's lease-index
                     entry and cell membership onto a new id),
                     renew_lease/drop_lease_index_entry,
-                    rebuild_cell*, invalidate_*, ensure_*, compose_*,
-                    the *_scratch oracles, arena_stats and the
-                    consistency audits) — never from query accessors
-                    or from other translation units.  Everything else
-                    must go through ensure_* so the dirty-tracking
-                    invariant (clean implies inputs clean) and the
+                    rebuild_cell*, invalidate_*, update_in_port_lists
+                    (which keeps the lists and the zeroed entries of an
+                    emptied cell in line with the member counts),
+                    ensure_*, compose_*, the *_scratch oracles,
+                    arena_stats and the consistency audits) — never
+                    from query accessors or from other translation
+                    units.  Everything else must go through ensure_* so
+                    the dirty-tracking invariant (clean implies inputs
+                    clean), the live-list invariant (an in-port off a
+                    queue's lists holds zero streams there) and the
                     tree/aggregate coherence contract (every mutation
                     flushes its root path before returning) cannot be
                     bypassed.
@@ -193,17 +198,20 @@ REROUTE_HANDLER_PREFIXES = ("on_", "attempt_", "advance_to", "quiesce")
 
 # cac-cache-state: the switch CAC's aggregate/cache members — including
 # the merge trees, segment arena and lease index the mergeable-aggregate
-# layer added — the member we are inside (tracked from out-of-line
+# layer added, and the per-queue live in-port lists the merges over
+# in-ports read — the member we are inside (tracked from out-of-line
 # definitions), and the member functions allowed to touch that state
-# directly (cache management, lease bookkeeping, from-scratch oracles,
-# the arena_stats bench hook, rekey (which moves a record's lease-index
-# entry and cell membership onto a new id), the snapshot exporters of the
+# directly (cache management, the live-list update, lease bookkeeping,
+# from-scratch oracles, the arena_stats bench hook, rekey (which moves a
+# record's lease-index entry and cell membership onto a new id), the
+# snapshot exporters of the
 # optimistic read path (export_point_sections / dirty_queue_keys, which
 # read the primed caches and dirty flags to build immutable
 # publications), and the consistency audits that vouch for it all).
 CAC_FUNC_RE = re.compile(r"\bBasicSwitchCac<\w+>::(\w+)\s*\(")
 CAC_STATE_RE = re.compile(
-    r"\b(?:arrival_aggr_|cell_counts_|cell_members_|filtered_cell_|"
+    r"\b(?:arrival_aggr_|cell_counts_|cell_members_|live_in_ports_|"
+    r"hp_in_ports_|filtered_cell_|"
     r"hp_cell_filtered_|offered_cache_|hp_filtered_cache_|bound_cache_|"
     r"filtered_cell_dirty_|hp_cell_dirty_|offered_dirty_|"
     r"hp_filtered_dirty_|bound_dirty_|cell_trees_|stream_arena_|"
@@ -211,7 +219,8 @@ CAC_STATE_RE = re.compile(
 )
 CAC_ACCESSOR_PREFIXES = (
     "BasicSwitchCac", "add", "remove", "reclaim", "rebuild_cell",
-    "invalidate_", "ensure_", "compose_", "offered_aggregate_scratch",
+    "invalidate_", "update_in_port_lists", "ensure_", "compose_",
+    "offered_aggregate_scratch",
     "higher_priority_filtered_scratch", "arrival_aggregate",
     "sustained_load", "connection_", "state_consistent",
     "bandwidth_conserved", "cache_coherent", "prime_caches",
@@ -584,7 +593,8 @@ class Linter:
                     self.report(
                         path, lineno, "cac-cache-state",
                         "SwitchCac cache state (arrival_aggr_/*_cache_/"
-                        "*_dirty_/cell_trees_/stream_arena_/lease_index_) "
+                        "*_dirty_/live in-port lists/cell_trees_/"
+                        "stream_arena_/lease_index_) "
                         "touched outside a cache-management member "
                         "(currently in "
                         f"'{current_function or '<top level>'}'); go "
