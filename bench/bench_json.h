@@ -15,7 +15,7 @@
 //    "variant": str,              // optional: aggregate mode (exact|coalesced)
 //    "false_reject_rate": number, // optional: coalesced-only rejections /
 //                                 //   probes (conservatism cost)
-//    "arena_bytes": int,          // optional: arena-pooled segment bytes
+//    "arena_bytes": int,          // optional: merge-tree node-buffer bytes
 //    "segments_high_water": int,  // optional: peak live segments (trees)
 //    "rss_peak_kb": int,          // optional: process peak RSS (getrusage)
 //    "modifies": int,             // optional: in-place renegotiations run
@@ -74,7 +74,7 @@ struct BenchRecord {
   /// Fraction of probe candidates rejected by the coalesced check but
   /// admitted by the exact oracle (conservatism cost; 0 for exact rows).
   double false_reject_rate = 0.0;
-  /// Segment bytes parked in the stream arena's pool after the run.
+  /// Segment bytes held by the merge trees' node buffers after the run.
   std::size_t arena_bytes = 0;
   /// High-water mark of live segments held across all merge trees.
   std::size_t segments_high_water = 0;

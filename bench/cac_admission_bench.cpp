@@ -16,8 +16,8 @@
 //
 // Also runs the merge-tree scaling sweep: n = 1k/10k/100k admitted
 // connections, exact (coalesce_budget = 0) vs coalesced (budget 64)
-// aggregates, recording per-admission churn cost, segment counts, arena
-// stats, and peak RSS.  The exact variant is gated on decision identity
+// aggregates, recording per-admission churn cost, segment counts, node
+// buffer stats, and peak RSS.  The exact variant is gated on decision identity
 // with check_from_scratch; the coalesced variant on admit-side
 // conservatism (it may only reject more / bound higher than the oracle).
 // The same conservatism sweep records the false-reject rate — the
@@ -344,7 +344,7 @@ int renegotiate_churn(bench::BenchJsonWriter& json, bool tiny) {
         n, ns, ops, segments_total(cac));
     r.variant = v.name;
     r.false_reject_rate = false_reject_rate;
-    r.arena_bytes = stats.pooled_bytes;
+    r.arena_bytes = stats.held_bytes;
     r.segments_high_water = stats.peak_segments;
     r.rss_peak_kb = peak_rss_kb();
     r.modifies = ops;
@@ -422,7 +422,7 @@ int scaling_sweep(bench::BenchJsonWriter& json,
           ns, ops, segments);
       r.variant = v.name;
       r.false_reject_rate = false_reject_rate;
-      r.arena_bytes = stats.pooled_bytes;
+      r.arena_bytes = stats.held_bytes;
       r.segments_high_water = stats.peak_segments;
       r.rss_peak_kb = peak_rss_kb();
       json.add(std::move(r));
@@ -435,10 +435,11 @@ int scaling_sweep(bench::BenchJsonWriter& json,
       std::cout << "scale_churn  n=" << n << " (" << v.name
                 << "): " << per_op / 1e3 << " us/op, " << admitted << "/"
                 << ops << " admitted, " << segments << " aggr segments, "
-                << stats.peak_segments << " peak tree segments, arena "
-                << stats.pooled_bytes / 1024 << " KiB ("
+                << stats.peak_segments << " peak tree segments, nodes "
+                << stats.held_bytes / 1024 << " KiB ("
                 << stats.arena_reuses << "/" << stats.arena_acquires
-                << " reused), false-reject rate " << false_reject_rate
+                << " rebuilds in place), false-reject rate "
+                << false_reject_rate
                 << "\n";
     }
   }

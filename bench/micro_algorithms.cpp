@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/delay_bound.h"
+#include "core/merge_tree.h"
 #include "core/stream_ops.h"
 #include "core/switch_cac.h"
 #include "core/traffic.h"
@@ -27,15 +29,33 @@ BitStream random_stream(Xorshift& rng, double max_rate = 0.2) {
                32.0 * static_cast<double>(rng.below(8)));
 }
 
+// The multiplex of n random VBR streams, one per input set: the
+// aggregate-level rows (two-way multiplex, filter, delay bound) cycle 64
+// such sets, as BM_MultiplexAll does, so the branch predictor cannot
+// learn one input.
+constexpr std::size_t kAggregateSets = 64;
+
+BitStream random_aggregate(Xorshift& rng, std::int64_t n,
+                           double max_rate = 0.2) {
+  BitStream aggregate;
+  for (std::int64_t i = 0; i < n; ++i) {
+    aggregate = multiplex(aggregate, random_stream(rng, max_rate));
+  }
+  return aggregate;
+}
+
 void BM_Multiplex(benchmark::State& state) {
   Xorshift rng(1);
-  BitStream aggregate;
-  for (int i = 0; i < state.range(0); ++i) {
-    aggregate = multiplex(aggregate, random_stream(rng));
+  std::vector<BitStream> aggregates;
+  std::vector<BitStream> ones;
+  for (std::size_t set = 0; set < kAggregateSets; ++set) {
+    aggregates.push_back(random_aggregate(rng, state.range(0)));
+    ones.push_back(random_stream(rng));
   }
-  const BitStream one = random_stream(rng);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(multiplex(aggregate, one));
+    benchmark::DoNotOptimize(multiplex(aggregates[next], ones[next]));
+    next = (next + 1) % kAggregateSets;
   }
   state.SetComplexityN(state.range(0));
 }
@@ -104,12 +124,14 @@ BENCHMARK(BM_MultiplexAll)->DenseRange(2, 8);
 
 void BM_Filter(benchmark::State& state) {
   Xorshift rng(2);
-  BitStream aggregate;
-  for (int i = 0; i < state.range(0); ++i) {
-    aggregate = multiplex(aggregate, random_stream(rng));
+  std::vector<BitStream> aggregates;
+  for (std::size_t set = 0; set < kAggregateSets; ++set) {
+    aggregates.push_back(random_aggregate(rng, state.range(0)));
   }
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(filter(aggregate));
+    benchmark::DoNotOptimize(filter(aggregates[next]));
+    next = (next + 1) % kAggregateSets;
   }
 }
 BENCHMARK(BM_Filter)->Range(4, 256);
@@ -126,42 +148,49 @@ BENCHMARK(BM_Delay);
 
 void BM_DelayBound(benchmark::State& state) {
   Xorshift rng(4);
-  BitStream offered;
-  BitStream hp;
+  std::vector<BitStream> offered;
+  std::vector<BitStream> hp_filtered;
   // Keep the aggregate stable (sum of rates < 1) at every size so the
   // bound computation cannot take the cheap "unbounded" early exit.
   const double per_stream = 0.6 / static_cast<double>(state.range(0));
-  for (int i = 0; i < state.range(0); ++i) {
-    offered = multiplex(offered, random_stream(rng, per_stream));
-    hp = multiplex(hp, random_stream(rng, per_stream / 2));
+  for (std::size_t set = 0; set < kAggregateSets; ++set) {
+    offered.push_back(random_aggregate(rng, state.range(0), per_stream));
+    hp_filtered.push_back(
+        filter(random_aggregate(rng, state.range(0), per_stream / 2)));
   }
-  const BitStream hp_filtered = filter(hp);
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(delay_bound(offered, hp_filtered));
+    benchmark::DoNotOptimize(delay_bound(offered[next], hp_filtered[next]));
+    next = (next + 1) % kAggregateSets;
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_DelayBound)->Range(4, 256)->Complexity(benchmark::oN);
 
-// One in-port's cell as the workloads offer it: 1 to 6 VBR connections
-// (SCR k/2048, PCR 2 to 7 times that, MBS 2 to 31) or 1 to 2 CBR ones
-// (k/256 of the link), each distorted for an upstream CDV, multiplexed
-// and filtered by the in-link.
+// One connection's arrival stream as the workloads offer it: a VBR
+// descriptor (SCR k/2048, PCR 2 to 7 times that, MBS 2 to 31) or a CBR
+// one (k/256 of the link), distorted for an upstream CDV of 0 to 7 hops
+// of 32 cells.
+BitStream workload_connection(Xorshift& rng, bool cbr) {
+  TrafficDescriptor td;
+  if (cbr) {
+    td = TrafficDescriptor::cbr(static_cast<double>(1 + rng.below(8)) / 256);
+  } else {
+    const double scr = static_cast<double>(1 + rng.below(6)) / 2048;
+    td = TrafficDescriptor::vbr(scr * static_cast<double>(2 + rng.below(6)),
+                                scr,
+                                static_cast<std::uint32_t>(2 + rng.below(30)));
+  }
+  return delay(td.to_bitstream(), 32.0 * static_cast<double>(rng.below(8)));
+}
+
+// One in-port's cell: 1 to 6 VBR connections or 1 to 2 CBR ones,
+// multiplexed and filtered by the in-link.
 BitStream workload_cell(Xorshift& rng, bool cbr) {
   BitStream cell;
   const std::uint64_t connections = cbr ? 1 + rng.below(2) : 1 + rng.below(6);
   for (std::uint64_t c = 0; c < connections; ++c) {
-    TrafficDescriptor td;
-    if (cbr) {
-      td = TrafficDescriptor::cbr(static_cast<double>(1 + rng.below(8)) / 256);
-    } else {
-      const double scr = static_cast<double>(1 + rng.below(6)) / 2048;
-      td = TrafficDescriptor::vbr(
-          scr * static_cast<double>(2 + rng.below(6)), scr,
-          static_cast<std::uint32_t>(2 + rng.below(30)));
-    }
-    cell = multiplex(cell, delay(td.to_bitstream(),
-                                 32.0 * static_cast<double>(rng.below(8))));
+    cell = multiplex(cell, workload_connection(rng, cbr));
   }
   return filter(cell);
 }
@@ -268,6 +297,59 @@ void BM_SwitchRebind(benchmark::State& state, bool rekey) {
 }
 BENCHMARK_CAPTURE(BM_SwitchRebind, remove_add, false);
 BENCHMARK_CAPTURE(BM_SwitchRebind, rekey, true);
+
+// The merge-tree upkeep of one commit pair (core/merge_tree.h): each
+// iteration erases one leaf of a tree, inserts another in its slot and
+// re-merges the dirty root paths with aggregate(), as a teardown plus a
+// setup in one S_ia cell do.  Each row keeps 64 trees of `leaves` leaves,
+// each leaf a workload connection (VBR or CBR, one in two), and cycles
+// through them, as BM_MultiplexAll cycles its input sets; every tree
+// swaps its leaves in a seeded order with a spare, so each iteration
+// re-merges a different path with a different leaf.  `budget` 0 is the
+// exact mode, 8 the coalescing one.
+void BM_MergeTreeChurn(benchmark::State& state) {
+  constexpr std::size_t kTrees = 64;
+  const auto leaves = static_cast<std::size_t>(state.range(0));
+  const auto budget = static_cast<std::size_t>(state.range(1));
+  struct Churned {
+    StreamMergeTree tree;
+    std::vector<std::size_t> order;  // slots to churn, cycled
+    std::size_t at = 0;
+    BitStream spare;
+  };
+  std::vector<Churned> trees;
+  trees.reserve(kTrees);
+  Xorshift rng(9);
+  for (std::size_t t = 0; t < kTrees; ++t) {
+    Churned& c = trees.emplace_back(
+        Churned{StreamMergeTree(budget), {}, 0, BitStream{}});
+    for (std::size_t k = 0; k < leaves; ++k) {
+      c.order.push_back(
+          c.tree.insert(workload_connection(rng, rng.below(2) == 0)));
+    }
+    for (std::size_t k = c.order.size(); k > 1; --k) {
+      std::swap(c.order[k - 1], c.order[rng.below(k)]);
+    }
+    c.spare = workload_connection(rng, rng.below(2) == 0);
+    (void)c.tree.aggregate();
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    Churned& c = trees[next];
+    const std::size_t slot = c.order[c.at];
+    BitStream gone = c.tree.leaf(slot);
+    c.tree.erase(slot);
+    (void)c.tree.insert(std::move(c.spare));  // back into `slot`
+    c.spare = std::move(gone);
+    benchmark::DoNotOptimize(c.tree.aggregate().segments().data());
+    benchmark::ClobberMemory();
+    c.at = (c.at + 1) % c.order.size();
+    next = (next + 1) % kTrees;
+  }
+}
+BENCHMARK(BM_MergeTreeChurn)
+    ->ArgNames({"leaves", "budget"})
+    ->ArgsProduct({{4, 16, 64, 1024}, {0, 8}});
 
 // Full per-switch admission check as a function of priority levels,
 // connection count and in-ports — the quantity that gates on-line VC

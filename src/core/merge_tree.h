@@ -10,7 +10,7 @@
 // internal node caches the multiplex of its subtree.  Changing one leaf
 // re-merges only the root path; the aggregate is read off the root.
 //
-// Two further mechanisms bound the cost per merge:
+// Two further mechanisms keep each merge cheap:
 //
 //   * Coalescing budget.  With budget B > 0 every internal node keeps at
 //     most B segments by dropping interior breakpoints — never the first
@@ -25,9 +25,13 @@
 //     (rate(k-1) - rate(k)) * (t(k+1) - t(k)), ties by index, so the
 //     over-estimate stays small and selection is deterministic.
 //
-//   * Arena allocation.  Node buffers come from a BasicStreamArena
-//     (stream_arena.h) passed into every mutating call; steady-state
-//     churn recycles buffer capacity instead of hitting the heap.
+//   * In-place rebuilds.  A dirty node is re-merged into its own buffer:
+//     cleared, refilled from its two children, its capacity kept.  Once
+//     the buffer has room for the largest pair of children the node has
+//     merged, a rebuild allocates nothing, so in exact mode steady-state
+//     churn re-merges without touching the heap (coalescing also
+//     allocates its victim ranking).  grow() keeps the old node buffers
+//     where they sit for the rebuild of the doubled tree.
 //
 // With budget 0 (exact mode) nodes are exact multiplexes and the root
 // equals the fold of the leaves up to floating-point association; for
@@ -37,8 +41,8 @@
 // detail::multiplex_union_canonical, whose sums and canonical rules are
 // the fold's.
 //
-// The tree is a plain value type (copyable, no pointers into the arena
-// or out of the structure); it owns the leaf streams.
+// The tree is a plain value type (copyable, no pointers out of the
+// structure); it owns the leaf streams and its node buffers.
 
 #pragma once
 
@@ -49,7 +53,6 @@
 #include <vector>
 
 #include "core/bitstream.h"
-#include "core/stream_arena.h"
 #include "core/stream_ops.h"
 #include "util/contract.h"
 
@@ -101,8 +104,6 @@ class BasicStreamMergeTree {
  public:
   using Stream = BasicBitStream<Num>;
   using Segment = BasicSegment<Num>;
-  using Arena = BasicStreamArena<Num>;
-  using Buffer = typename Arena::Buffer;
 
   /// `coalesce_budget` 0 = exact mode; otherwise the per-node segment
   /// cap (>= 2).
@@ -115,8 +116,8 @@ class BasicStreamMergeTree {
 
   /// Adds a leaf stream; returns its slot (stable until erased, then
   /// recycled).  Grows the tree when full.  O(log n) merges amortized.
-  [[nodiscard]] std::size_t insert(Arena& arena, Stream leaf) {
-    if (free_.empty()) grow(arena);
+  [[nodiscard]] std::size_t insert(Stream leaf) {
+    if (free_.empty()) grow();
     const std::size_t slot = free_.back();
     free_.pop_back();
     leaf_segments_ += leaf.size();
@@ -143,8 +144,8 @@ class BasicStreamMergeTree {
   /// The multiplex of all live leaves.  Flushes pending re-merges
   /// (children before parents), then materializes the root.  The zero
   /// stream when the tree is empty.
-  [[nodiscard]] Stream aggregate(Arena& arena) {
-    flush(arena);
+  [[nodiscard]] Stream aggregate() {
+    flush();
     return materialized();
   }
 
@@ -196,6 +197,11 @@ class BasicStreamMergeTree {
   [[nodiscard]] std::size_t held_bytes() const noexcept {
     return node_bytes_;
   }
+  /// Node re-merges run so far, and how many of them fit the capacity
+  /// the node's buffer already had (no heap allocation) — the bench's
+  /// evidence that steady-state churn allocates no node buffer.
+  [[nodiscard]] std::size_t rebuilds() const noexcept { return rebuilds_; }
+  [[nodiscard]] std::size_t reuses() const noexcept { return reuses_; }
 
   /// Audit: re-derives every internal node from its children and
   /// compares bitwise; also re-checks the slot bookkeeping.  O(n).
@@ -257,7 +263,8 @@ class BasicStreamMergeTree {
   }
 
   /// Computes node i's value from its children into `out` (assumed
-  /// empty).  Shared by the hot path (flush) and the audit (coherent).
+  /// empty, and not a child's buffer).  Shared by the hot path (flush)
+  /// and the audit (coherent).
   void merge_children(std::size_t i, std::vector<Segment>& out) const {
     const auto left = child_span(2 * i);
     const auto right = child_span(2 * i + 1);
@@ -272,18 +279,24 @@ class BasicStreamMergeTree {
     coalesce_conservative(out, budget_);
   }
 
-  void flush(Arena& arena) {
+  /// Re-merges every dirty node, children before parents, each into its
+  /// own buffer: the merge reads only the node's two children, so the
+  /// node's old value can be cleared first and its capacity reused.
+  void flush() {
     if (!any_dirty_) return;
     for (std::size_t i = capacity_; i-- > 1;) {
       if (!dirty_[i]) continue;
       dirty_[i] = 0;
-      Buffer next =
-          arena.acquire(child_span(2 * i).size() + child_span(2 * i + 1).size());
-      merge_children(i, next);
-      node_segments_ += next.size() - nodes_[i].size();
-      node_bytes_ += (next.capacity() - nodes_[i].capacity()) * sizeof(Segment);
-      arena.release(std::move(nodes_[i]));
-      nodes_[i] = std::move(next);
+      std::vector<Segment>& node = nodes_[i];
+      const std::size_t old_size = node.size();
+      const std::size_t old_capacity = node.capacity();
+      node.clear();
+      node.reserve(child_span(2 * i).size() + child_span(2 * i + 1).size());
+      merge_children(i, node);
+      ++rebuilds_;
+      if (node.capacity() == old_capacity) ++reuses_;
+      node_segments_ = node_segments_ - old_size + node.size();
+      node_bytes_ += (node.capacity() - old_capacity) * sizeof(Segment);
     }
     any_dirty_ = false;
     note_peak();
@@ -291,17 +304,10 @@ class BasicStreamMergeTree {
 
   /// Doubles the slot count.  Leaf positions keep their slots; every
   /// internal node is rebuilt on the next flush (amortized O(1) per
-  /// insert, as with any doubling scheme).
-  void grow(Arena& arena) {
-    const std::size_t old_capacity = capacity_;
-    for (std::size_t i = 1; i < old_capacity; ++i) {
-      node_segments_ -= nodes_[i].size();
-      node_bytes_ -= nodes_[i].capacity() * sizeof(Segment);
-      arena.release(std::move(nodes_[i]));
-    }
-    reset_layout(old_capacity * 2);
-    // Old leaves (slots < old_capacity) keep their slots; dirty every
-    // internal node so the next flush rebuilds the whole tree.
+  /// insert, as with any doubling scheme), the old nodes' buffers reused
+  /// where they sit.
+  void grow() {
+    reset_layout(capacity_ * 2);
     dirty_.assign(capacity_, 1);
     any_dirty_ = true;
   }
@@ -327,7 +333,7 @@ class BasicStreamMergeTree {
   std::size_t live_count_ = 0;
   std::vector<Stream> leaves_;
   std::vector<char> live_;
-  std::vector<Buffer> nodes_;   // nodes_[0] unused
+  std::vector<std::vector<Segment>> nodes_;  // nodes_[0] unused
   std::vector<char> dirty_;     // dirty_[0] unused
   std::vector<std::size_t> free_;
   bool any_dirty_ = false;
@@ -335,6 +341,8 @@ class BasicStreamMergeTree {
   std::size_t node_segments_ = 0;
   std::size_t node_bytes_ = 0;
   std::size_t peak_segments_ = 0;
+  std::size_t rebuilds_ = 0;
+  std::size_t reuses_ = 0;
 };
 
 using StreamMergeTree = BasicStreamMergeTree<double>;

@@ -14,14 +14,19 @@
 //
 // A View provides, for one fixed out-port j:
 //
-//   cell(i, q)         S_ia(i,j,q)   — raw aggregate arrival of a cell
-//   live_in_ports(q)   ascending in-ports i whose cell (i,j,q) has a member
-//   filtered_at(q, k)  S_if(i,j,q)   = filter(S_ia), i = live_in_ports(q)[k]
-//   hp_in_ports(q)     ascending in-ports i with a member at some r < q
-//   hp_cell_at(q, k)   filter(mux_{r<q} S_ia(i,j,r)), i = hp_in_ports(q)[k]
-//   offered(q)         S_oa(j,q)     = mux_i S_if(i,j,q)
-//   hp_filtered(q)     S_of(j,q)
-//   advertised(q)      Dmax(j,q)
+//   cell(i, q)            S_ia(i,j,q) — raw aggregate arrival of a cell
+//   live_in_ports(q)      ascending in-ports i whose cell (i,j,q) has a
+//                         member
+//   filtered_at(q, k, i)  S_if(i,j,q) = filter(S_ia), i = live_in_ports(q)[k]
+//   hp_in_ports(q)        ascending in-ports i with a member at some r < q
+//   hp_cell_at(q, k, i)   filter(mux_{r<q} S_ia(i,j,r)), i = hp_in_ports(q)[k]
+//   offered(q)            S_oa(j,q) = mux_i S_if(i,j,q)
+//   hp_filtered(q)        S_of(j,q)
+//   advertised(q)         Dmax(j,q)
+//
+// The list accessors get both the position k on the list and the in-port
+// i there, so each backing reads the key it is indexed by: the sections
+// by position, the live caches by in-port.
 //
 // An in-port off live_in_ports(q) has a zero cell and filtered stream at
 // q, and one off hp_in_ports(q) a zero higher-priority union.  A switch
@@ -154,11 +159,11 @@ struct BasicPointSections {
       return s.cells[static_cast<std::size_t>(at - s.live_in_ports.begin())];
     }
     [[nodiscard]] const BasicBitStream<Num>& filtered_at(
-        Priority q, std::size_t k) const {
+        Priority q, std::size_t k, std::size_t /*in*/) const {
       return owner_.sections[q]->filtered[k];
     }
-    [[nodiscard]] const BasicBitStream<Num>& hp_cell_at(Priority q,
-                                                        std::size_t k) const {
+    [[nodiscard]] const BasicBitStream<Num>& hp_cell_at(
+        Priority q, std::size_t k, std::size_t /*in*/) const {
       return owner_.sections[q]->hp_cells[k];
     }
     [[nodiscard]] const BasicBitStream<Num>& offered(Priority q) const {
@@ -208,21 +213,24 @@ template <typename Num>
 namespace detail {
 
 /// Appends the inputs of one k-way merge over in-ports to `parts`: the
-/// stream at(k) of the k-th in-port on the ascending list `ports`, for
-/// every k, with the candidate's `trial` at `in_port`'s place (instead of
-/// its own stream, when `in_port` is on the list).  Every in-port off the
-/// list holds the zero stream, which the merge skips, so the merge sees
-/// the inputs a pass over all in-ports would give it, in the same order.
+/// stream at(k, ports[k]) of the k-th in-port on the ascending list
+/// `ports`, for every k, with the candidate's `trial` at `in_port`'s
+/// place (instead of its own stream, when `in_port` is on the list).
+/// Every in-port off the list holds the zero stream, which the merge
+/// skips, so the merge sees the inputs a pass over all in-ports would
+/// give it, in the same order.
 template <typename Num, typename StreamAt>
 void push_in_port_inputs(std::vector<SegmentSpan<Num>>& parts,
                          std::span<const std::size_t> ports,
                          std::size_t in_port, SegmentSpan<Num> trial,
                          const StreamAt& at) {
   std::size_t k = 0;
-  for (; k < ports.size() && ports[k] < in_port; ++k) parts.push_back(at(k));
+  for (; k < ports.size() && ports[k] < in_port; ++k) {
+    parts.push_back(at(k, ports[k]));
+  }
   parts.push_back(trial);
   if (k < ports.size() && ports[k] == in_port) ++k;
-  for (; k < ports.size(); ++k) parts.push_back(at(k));
+  for (; k < ports.size(); ++k) parts.push_back(at(k, ports[k]));
 }
 
 }  // namespace detail
@@ -263,7 +271,9 @@ template <typename Num, typename View>
       std::vector<Span>& parts = level.spans();
       detail::push_in_port_inputs<Num>(
           parts, view.live_in_ports(q), in_port, trial,
-          [&](std::size_t k) { return view.filtered_at(q, k).segments(); });
+          [&](std::size_t k, std::size_t i) {
+            return view.filtered_at(q, k, i).segments();
+          });
       const Span offered =
           detail::multiplex_all_segments<Num>(parts, level.segments());
       bound = detail::delay_bound_segments(offered,
@@ -291,7 +301,9 @@ template <typename Num, typename View>
       std::vector<Span>& parts = level.spans();
       detail::push_in_port_inputs<Num>(
           parts, view.hp_in_ports(q), in_port, trial_hp,
-          [&](std::size_t k) { return view.hp_cell_at(q, k).segments(); });
+          [&](std::size_t k, std::size_t i) {
+            return view.hp_cell_at(q, k, i).segments();
+          });
       const Span hp_union =
           detail::multiplex_all_segments<Num>(parts, level.segments());
       const Span hp =

@@ -315,13 +315,13 @@ struct BasicSwitchCac<Num>::CheckView {
   [[nodiscard]] const Stream& cell(std::size_t in, Priority q) const {
     return cac.arrival_aggr_[cac.cell_index(in, out_port, q)];
   }
-  [[nodiscard]] const Stream& filtered_at(Priority q, std::size_t k) const {
-    return cac.ensure_filtered_cell(
-        cac.live_in_ports_[cac.queue_index(out_port, q)][k], out_port, q);
+  [[nodiscard]] const Stream& filtered_at(Priority q, std::size_t /*k*/,
+                                          std::size_t in) const {
+    return cac.ensure_filtered_cell(in, out_port, q);
   }
-  [[nodiscard]] const Stream& hp_cell_at(Priority q, std::size_t k) const {
-    return cac.ensure_hp_cell(cac.hp_in_ports_[cac.queue_index(out_port, q)][k],
-                              out_port, q);
+  [[nodiscard]] const Stream& hp_cell_at(Priority q, std::size_t /*k*/,
+                                         std::size_t in) const {
+    return cac.ensure_hp_cell(in, out_port, q);
   }
   [[nodiscard]] const Stream& offered(Priority q) const {
     return cac.ensure_offered(out_port, q);
@@ -447,11 +447,11 @@ void BasicSwitchCac<Num>::add(ConnectionId id, std::size_t in_port,
   RTCAC_REQUIRE(!records_.contains(id),
                 "SwitchCac: duplicate connection id " + std::to_string(id));
   const std::size_t idx = cell_index(in_port, out_port, priority);
-  const std::size_t slot = cell_trees_[idx].insert(stream_arena_, arrival);
+  const std::size_t slot = cell_trees_[idx].insert(arrival);
   records_.emplace(id,
                    Record{in_port, out_port, priority, slot, lease_expiry});
   if (lease_expiry != kPermanentLease) lease_index_.emplace(lease_expiry, id);
-  arrival_aggr_[idx] = cell_trees_[idx].aggregate(stream_arena_);
+  arrival_aggr_[idx] = cell_trees_[idx].aggregate();
   ++cell_counts_[idx];
   cell_members_[idx].push_back(id);
   invalidate_cell(in_port, out_port, priority);
@@ -591,7 +591,7 @@ void BasicSwitchCac<Num>::rebuild_cells(std::vector<std::size_t>& touched) {
     // One flush per touched cell: a cell losing k members re-merges each
     // dirty tree node once, the same incremental path remove() takes —
     // not k times, and never a full refold.
-    arrival_aggr_[idx] = cell_trees_[idx].aggregate(stream_arena_);
+    arrival_aggr_[idx] = cell_trees_[idx].aggregate();
     invalidate_cell(in_port, out_port, priority);
     if (cell_counts_[idx] == 0) {
       update_in_port_lists(in_port, out_port, priority);
@@ -633,7 +633,7 @@ bool BasicSwitchCac<Num>::remove(ConnectionId id) {
   // remaining leaves are recombined from their exact streams, so repeated
   // setup/teardown cannot accumulate floating-point drift — at O(log n)
   // node merges instead of the old full refold.
-  arrival_aggr_[idx] = cell_trees_[idx].aggregate(stream_arena_);
+  arrival_aggr_[idx] = cell_trees_[idx].aggregate();
   invalidate_cell(in_port, out_port, priority);
   if (cell_counts_[idx] == 0) update_in_port_lists(in_port, out_port, priority);
   audit_invariants();
@@ -958,13 +958,12 @@ std::vector<std::size_t> BasicSwitchCac<Num>::dirty_queue_keys() const {
 template <typename Num>
 CacArenaStats BasicSwitchCac<Num>::arena_stats() const {
   CacArenaStats st;
-  st.pooled_bytes = stream_arena_.pooled_bytes();
-  st.arena_acquires = stream_arena_.acquires();
-  st.arena_reuses = stream_arena_.reuses();
   for (const auto& tree : cell_trees_) {
     st.held_bytes += tree.held_bytes();
     st.held_segments += tree.held_segments();
     st.peak_segments += tree.peak_segments();
+    st.arena_acquires += tree.rebuilds();
+    st.arena_reuses += tree.reuses();
   }
   return st;
 }

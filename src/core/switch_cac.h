@@ -64,8 +64,8 @@
 // Scaling (docs/PERFORMANCE.md, "Mergeable aggregates"): each S_ia cell is
 // backed by a BasicStreamMergeTree (core/merge_tree.h) owning the member
 // arrival streams as leaves, so add()/remove() re-merge only an O(log n)
-// root path instead of refolding the cell, with node buffers pooled in a
-// per-switch BasicStreamArena (core/stream_arena.h).  With
+// root path instead of refolding the cell, each node in its own buffer,
+// so steady-state churn reuses node storage.  With
 // Config::coalesce_budget == 0 (the default) aggregates are exact and the
 // behavior is unchanged; a non-zero budget caps every tree node at that
 // many segments by conservative breakpoint dropping — the aggregate then
@@ -106,7 +106,6 @@
 #include "core/delay_bound.h"
 #include "core/merge_tree.h"
 #include "core/point_snapshot.h"
-#include "core/stream_arena.h"
 #include "core/stream_ops.h"
 #include "util/contract.h"
 
@@ -115,19 +114,17 @@ namespace rtcac {
 struct SwitchCacTestAccess;  // white-box corruption hook for audit tests
 
 /// Allocation/footprint counters of one switch's mergeable-aggregate
-/// storage (merge trees + segment arena); reported by the admission bench
-/// as the memory columns of BENCH_admission.json.
+/// storage (its merge trees, summed); reported by the admission bench as
+/// the memory columns of BENCH_admission.json.
 struct CacArenaStats {
-  /// Bytes of segment storage parked in the arena pool (reusable).
-  std::size_t pooled_bytes = 0;
-  /// Bytes of segment storage held by live merge-tree node buffers.
+  /// Bytes of segment storage held by merge-tree node buffers.
   std::size_t held_bytes = 0;
   /// Segments currently stored across all trees (leaves + nodes).
   std::size_t held_segments = 0;
   /// Sum of each tree's high-water segment count over its lifetime.
   std::size_t peak_segments = 0;
-  /// Buffer acquisitions, and how many the arena served from its pool
-  /// instead of the heap.
+  /// Node rebuilds (re-merges), and how many of them fit the capacity
+  /// the node's buffer already had instead of growing it on the heap.
   std::size_t arena_acquires = 0;
   std::size_t arena_reuses = 0;
 };
@@ -319,7 +316,7 @@ class BasicSwitchCac {
   /// fills it too.
   void prime_caches() const;
 
-  /// Allocation counters of the merge-tree/arena storage (bench hook).
+  /// Allocation counters of the merge-tree storage (bench hook).
   [[nodiscard]] CacArenaStats arena_stats() const;
 
   /// Immutable export of out-port `out_port`'s derived streams for the
@@ -464,14 +461,12 @@ class BasicSwitchCac {
   // Looked up by id only; the id listings sort their copies.
   RecordMap records_;
   // Mergeable aggregate state: one merge tree per S_ia cell owning the
-  // member arrival streams (Record::slot indexes its leaves), node
-  // buffers pooled in the arena.  arrival_aggr_[c] is always the
-  // materialized root of cell_trees_[c].  Mutated only by the mutators
-  // (add/remove*/reclaim paths) — check() and the bound queries never
-  // touch either, which is what keeps shared-lock readers in
-  // ConcurrentCac race-free.
+  // member arrival streams (Record::slot indexes its leaves) and its
+  // node buffers.  arrival_aggr_[c] is always the materialized root of
+  // cell_trees_[c].  Mutated only by the mutators (add/remove*/reclaim
+  // paths) — check() and the bound queries never touch the trees, which
+  // is what keeps shared-lock readers in ConcurrentCac race-free.
   std::vector<BasicStreamMergeTree<Num>> cell_trees_;
-  BasicStreamArena<Num> stream_arena_;
   // Finite-lease expiries, ordered: reclaim(now) walks the <= now prefix
   // instead of scanning every record.  Permanent commitments are absent.
   std::multimap<double, ConnectionId> lease_index_;

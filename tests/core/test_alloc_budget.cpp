@@ -23,6 +23,12 @@
 // node, one membership entry and drops the provisional lease, so it
 // allocates nothing.
 //
+// A commit re-merges its cell's merge tree (core/merge_tree.h) along the
+// leaf's root path, each node in its own buffer.  On a warmed cell with
+// several members, a steady-state add allocates the cell's new root
+// block plus the record and lease-index nodes, a remove only the new
+// root block, and neither a node buffer.
+//
 // Allocations are counted by replacing the global operator new, which
 // would count in every test that shared the binary — so this file is a
 // test binary of its own.
@@ -419,6 +425,53 @@ void expect_rekey_onto_a_permanent_lease_allocates_nothing() {
   EXPECT_TRUE(cac.dirty_queue_keys().empty());
   EXPECT_TRUE(cac.reclaim(1e12).empty());
   EXPECT_TRUE(cac.state_consistent());
+}
+
+template <typename Num>
+void expect_steady_state_commits_allocate_no_node_buffer() {
+  using Cac = BasicSwitchCac<Num>;
+  typename Cac::Config cfg;
+  cfg.in_ports = kInPorts;
+  cfg.out_ports = kOutPorts;
+  cfg.priorities = kPriorities;
+  cfg.advertised_bound = Num(1 << 20);
+  Cac cac(cfg);
+  Xorshift rng(31);
+  populate(cac, rng);
+  // Cell (5, 0, 2) gets six more members, so a commit there re-merges a
+  // root path of several nodes.
+  constexpr ConnectionId kMembers = 6000;
+  for (ConnectionId id = kMembers; id < kMembers + 6; ++id) {
+    cac.add(id, 5, 0, 2, small_stream<Num>(rng));
+  }
+  constexpr ConnectionId kChurn = 7000;
+  const BasicBitStream<Num> arrival = small_stream<Num>(rng);
+  // Warm-up: the same leased join and leave once.
+  cac.add(kChurn, 5, 0, 2, arrival, 64.0);
+  ASSERT_TRUE(cac.remove(kChurn));
+
+  const CacArenaStats before = cac.arena_stats();
+  // The root block, the record node and the lease-index node.
+  EXPECT_EQ(allocations_during(
+                [&] { cac.add(kChurn, 5, 0, 2, arrival, 64.0); }),
+            3u);
+  // The root block.
+  EXPECT_EQ(allocations_during([&] { ASSERT_TRUE(cac.remove(kChurn)); }),
+            1u);
+  const CacArenaStats after = cac.arena_stats();
+  EXPECT_GT(after.arena_acquires, before.arena_acquires);
+  EXPECT_EQ(after.arena_reuses - before.arena_reuses,
+            after.arena_acquires - before.arena_acquires);
+  EXPECT_EQ(after.held_bytes, before.held_bytes);
+  EXPECT_TRUE(cac.state_consistent());
+}
+
+TEST(AllocationBudget, SteadyStateAddAndRemoveAllocateNoNodeBuffer) {
+  if (RTCAC_AUDIT_ENABLED) {
+    GTEST_SKIP() << "audit builds re-verify the whole switch per mutation";
+  }
+  expect_steady_state_commits_allocate_no_node_buffer<double>();
+  expect_steady_state_commits_allocate_no_node_buffer<Rational>();
 }
 
 TEST(AllocationBudget, RekeyOntoAPermanentLeaseAllocatesNothing) {

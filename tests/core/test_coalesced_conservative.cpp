@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/merge_tree.h"
-#include "core/stream_arena.h"
 #include "core/stream_ops.h"
 #include "core/switch_cac.h"
 #include "util/xorshift.h"
@@ -94,21 +93,20 @@ TEST(CoalesceConservative, BudgetZeroAndSatisfiedBudgetAreNoOps) {
 
 TEST(CoalesceConservative, MergeTreeRootDominatesExactFoldUnderChurn) {
   Xorshift rng(777);
-  StreamArena arena;
   BasicStreamMergeTree<double> tree(/*coalesce_budget=*/8);
   std::vector<std::pair<std::size_t, BitStream>> live;  // slot, stream
 
   for (int step = 0; step < 120; ++step) {
     if (live.empty() || rng.below(3) != 0) {
       BitStream s = random_arrival(rng);
-      const std::size_t slot = tree.insert(arena, s);
+      const std::size_t slot = tree.insert(s);
       live.emplace_back(slot, std::move(s));
     } else {
       const std::size_t victim = rng.below(live.size());
       tree.erase(live[victim].first);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
     }
-    const BitStream aggregate = tree.aggregate(arena);
+    const BitStream aggregate = tree.aggregate();
     ASSERT_TRUE(tree.coherent());
     ASSERT_EQ(tree.size(), live.size());
 
@@ -259,7 +257,6 @@ TEST(CoalescedConservative, RationalDominanceIsBoundaryExact) {
   // The exact scalar pins the conservative contract without tolerance:
   // a budget-2 aggregate of two-step Rational streams dominates the fold
   // with exact arithmetic at every breakpoint.
-  ExactStreamArena arena;
   BasicStreamMergeTree<Rational> tree(/*coalesce_budget=*/2);
   using RSeg = BasicSegment<Rational>;
   using RStream = BasicBitStream<Rational>;
@@ -268,9 +265,9 @@ TEST(CoalescedConservative, RationalDominanceIsBoundaryExact) {
     leaves.push_back(RStream{RSeg{Rational(3 + i, 8), Rational(0)},
                              RSeg{Rational(2, 8), Rational(4 * i)},
                              RSeg{Rational(1, 8), Rational(8 * i)}});
-    (void)tree.insert(arena, leaves.back());
+    (void)tree.insert(leaves.back());
   }
-  const RStream aggregate = tree.aggregate(arena);
+  const RStream aggregate = tree.aggregate();
   ASSERT_TRUE(tree.coherent());
   EXPECT_LE(aggregate.size(), 2u);
 

@@ -1,9 +1,9 @@
 // lint-fixture-dest: src/core/switch_cac.cpp
 //
 // cac-cache-state positive fixture: cache/dirty state — and the
-// mergeable-aggregate storage (merge trees, segment arena, lease
-// index) and the live in-port lists — touched from a query accessor
-// instead of the cache-management members.
+// mergeable-aggregate storage (merge trees, lease index) and the live
+// in-port lists — touched from a query accessor instead of the
+// cache-management members.
 
 #include "core/switch_cac.h"
 
@@ -23,7 +23,7 @@ template <typename Num>
 double BasicSwitchCac<Num>::peek_tree(std::size_t cell) {
   // A query accessor flushing a merge tree bypasses the mutation
   // contract (every mutator leaves its root path clean before return).
-  return cell_trees_[cell].aggregate(stream_arena_).final_rate();  // expect: cac-cache-state
+  return cell_trees_[cell].aggregate().final_rate();  // expect: cac-cache-state
 }
 
 template <typename Num>

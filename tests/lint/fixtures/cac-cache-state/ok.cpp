@@ -3,7 +3,7 @@
 // cac-cache-state negative fixture: the cache-management members
 // (ensure_* / invalidate_* / rebuild_cell* / update_in_port_lists /
 // rekey / lease bookkeeping / arena_stats / audits) own that state, merge
-// trees, arena and live in-port lists included.
+// trees and live in-port lists included.
 
 #include "core/switch_cac.h"
 
@@ -25,7 +25,7 @@ void BasicSwitchCac<Num>::invalidate_bound() {
 template <typename Num>
 void BasicSwitchCac<Num>::rebuild_cell(std::size_t cell) {
   cell_counts_[cell] = 0;
-  arrival_aggr_[cell] = cell_trees_[cell].aggregate(stream_arena_);
+  arrival_aggr_[cell] = cell_trees_[cell].aggregate();
 }
 
 template <typename Num>
@@ -48,7 +48,7 @@ void BasicSwitchCac<Num>::drop_lease_index_entry(double expiry) {
 template <typename Num>
 CacArenaStats BasicSwitchCac<Num>::arena_stats() const {
   CacArenaStats st;
-  st.pooled_bytes = stream_arena_.pooled_bytes();
+  for (const auto& tree : cell_trees_) st.held_bytes += tree.held_bytes();
   return st;
 }
 

@@ -51,8 +51,8 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale):
                     live_in_ports_/hp_in_ports_, the *_cache_ streams
                     and their *_dirty_ flags) plus the
                     mergeable-aggregate storage behind it (cell_trees_,
-                    stream_arena_, lease_index_ — docs/PERFORMANCE.md,
-                    "Mergeable aggregates") may be read or written only
+                    lease_index_ — docs/PERFORMANCE.md, "Mergeable
+                    aggregates") may be read or written only
                     inside the cache-management member functions of
                     src/core/switch_cac.cpp (constructor, add/remove/
                     reclaim, rekey (which moves a record's lease-index
@@ -197,8 +197,7 @@ REROUTE_MUTATION_RE = re.compile(
 REROUTE_HANDLER_PREFIXES = ("on_", "attempt_", "advance_to", "quiesce")
 
 # cac-cache-state: the switch CAC's aggregate/cache members — including
-# the merge trees, segment arena and lease index the mergeable-aggregate
-# layer added, and the per-queue live in-port lists the merges over
+# the merge trees and lease index the mergeable-aggregate layer added, and the per-queue live in-port lists the merges over
 # in-ports read — the member we are inside (tracked from out-of-line
 # definitions), and the member functions allowed to touch that state
 # directly (cache management, the live-list update, lease bookkeeping,
@@ -214,8 +213,7 @@ CAC_STATE_RE = re.compile(
     r"hp_in_ports_|filtered_cell_|"
     r"hp_cell_filtered_|offered_cache_|hp_filtered_cache_|bound_cache_|"
     r"filtered_cell_dirty_|hp_cell_dirty_|offered_dirty_|"
-    r"hp_filtered_dirty_|bound_dirty_|cell_trees_|stream_arena_|"
-    r"lease_index_)\b"
+    r"hp_filtered_dirty_|bound_dirty_|cell_trees_|lease_index_)\b"
 )
 CAC_ACCESSOR_PREFIXES = (
     "BasicSwitchCac", "add", "remove", "reclaim", "rebuild_cell",
@@ -594,7 +592,7 @@ class Linter:
                         path, lineno, "cac-cache-state",
                         "SwitchCac cache state (arrival_aggr_/*_cache_/"
                         "*_dirty_/live in-port lists/cell_trees_/"
-                        "stream_arena_/lease_index_) "
+                        "lease_index_) "
                         "touched outside a cache-management member "
                         "(currently in "
                         f"'{current_function or '<top level>'}'); go "
